@@ -22,6 +22,102 @@ from repro.spec import reference_resolve
 from repro.zonegen import evaluation_zone, minimal_zone
 
 
+#: Per-version solver checks and canonical bug list on the evaluation
+#: zone: (categories, qname_codes, qtype_code, validated) in report order.
+#: Both are deterministic across PYTHONHASHSEED, so any change here is a
+#: change in what the verifier explores or reports.
+GOLDEN = {
+    "verified": (6249, []),
+    "v1.0": (6567, [
+        ((WRONG_AUTHORITY,), (262144, 393216), 6, True),
+        ((WRONG_AUTHORITY,), (262144, 393216), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216), 2, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 458752), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 458752), 1, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 196608), 16, True),
+        ((WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 196608), 15, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 196608), 1, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 196608), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 196608), 5, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 524288), 28, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 524288), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 524288), 1, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 720896), 16, True),
+        ((WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 720896), 15, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 720896), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 720896), 1, True),
+        ((WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 655360, 327680, 65536), 15, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 655360, 327680, 65536), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 655360, 327680, 65536), 16, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 655360, 1), 15, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 655360, 1), 255, True),
+        ((WRONG_AUTHORITY,), (262144, 393216, 655360, 1), 1, True),
+        ((WRONG_FLAG,), (262144, 393216, 655360, 2), 2, True),
+        ((WRONG_FLAG,), (262144, 393216, 655360, 2, 1), 2, True),
+        ((WRONG_FLAG,), (262144, 393216, 655360, 2, 1, 1), 2, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2), 15, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1), 15, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1, 1), 15, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2), 255, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1), 255, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1, 1), 255, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2), 1, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1), 1, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1, 1), 1, True),
+        ((WRONG_FLAG,), (262144, 393216, 655360, 327681), 2, True),
+        ((WRONG_FLAG,), (262144, 393216, 655360, 327681, 1), 2, True),
+        ((WRONG_FLAG,), (262144, 393216, 655360, 327681, 1, 1), 2, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681), 15, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1), 15, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1, 1), 15, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681), 255, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1), 255, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1, 1), 255, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681), 1, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1), 1, True),
+        ((WRONG_FLAG, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1, 1), 1, True),
+    ]),
+    "v2.0": (5537, [
+        ((WRONG_ADDITIONAL,), (262144, 393216, 589824), 1, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 589824, 1), 1, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 196608), 16, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 196608), 1, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 196608), 255, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 196608), 5, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 655360, 2), 15, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 655360, 2), 255, True),
+        ((WRONG_RCODE,), (262144, 393216, 655360, 2, 1), 2, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 2, 1), 15, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 2, 1), 255, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1), 1, True),
+        ((WRONG_RCODE,), (262144, 393216, 655360, 2, 1, 1), 2, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 2, 1, 1), 15, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 2, 1, 1), 255, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 655360, 2, 1, 1), 1, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 655360, 327681), 15, True),
+        ((WRONG_ADDITIONAL,), (262144, 393216, 655360, 327681), 255, True),
+        ((WRONG_RCODE,), (262144, 393216, 655360, 327681, 1), 2, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 327681, 1), 15, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 327681, 1), 255, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1), 1, True),
+        ((WRONG_RCODE,), (262144, 393216, 655360, 327681, 1, 1), 2, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 327681, 1, 1), 15, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 327681, 1, 1), 255, True),
+        ((WRONG_RCODE, WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 655360, 327681, 1, 1), 1, True),
+    ]),
+    "v3.0": (6401, [
+        ((WRONG_RCODE,), (262144, 393216, 655360), 1, True),
+        ((WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 327680), 15, True),
+        ((WRONG_ANSWER, WRONG_AUTHORITY, WRONG_ADDITIONAL), (262144, 393216, 655360, 327680), 255, True),
+        ((WRONG_ANSWER, WRONG_AUTHORITY), (262144, 393216, 655360, 327680), 1, True),
+    ]),
+    "dev": (6141, [
+        ((RUNTIME_ERROR,), (262144, 393216, 655360, 327680), 1, True),
+        ((RUNTIME_ERROR,), (262144, 393216, 655360), 1, True),
+    ]),
+}
+
+
 @pytest.fixture(scope="module")
 def results():
     zone = evaluation_zone()
@@ -136,3 +232,15 @@ class TestSessionMechanics:
         text = results["dev"].describe()
         assert "Runtime Error" in text
         assert "layer" in text
+
+
+class TestGoldenPin:
+    @pytest.mark.parametrize("version", sorted(GOLDEN))
+    def test_solver_checks_and_bugs_pinned(self, results, version):
+        checks, bugs = GOLDEN[version]
+        result = results[version]
+        assert result.solver_checks == checks
+        assert [
+            (bug.categories, bug.qname_codes, bug.qtype_code, bug.validated)
+            for bug in result.bugs
+        ] == bugs
