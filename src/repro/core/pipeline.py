@@ -185,8 +185,11 @@ class VerificationResult:
     error_class: Optional[str] = None
     error_detail: str = ""
     partial: Optional[Dict[str, object]] = None
-    #: Per-phase wall time (``compile``/``summarize``/``solve``) — feeds
-    #: the parallel executor's perf counters and the ``--json`` output.
+    #: Per-phase seconds — feeds the parallel executor's perf counters and
+    #: the ``--json`` output. ``compile`` is the frontend, ``summarize``
+    #: the wall time of the summarized layers and ``resolve`` that of the
+    #: Resolve layer; ``solve`` is the time spent inside ``Solver.check``
+    #: during both, so it overlaps them rather than adding to them.
     #: Timing-only: never part of any canonical/deterministic projection.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Static-analysis accounting (None when the run predates the pass):
@@ -392,6 +395,7 @@ class VerificationSession:
         started = time.perf_counter()
         solver = self.executor.solver
         checks_before = solver.num_checks
+        solve_before = solver.check_seconds
         prepass_checks_before = getattr(solver, "guard_prepass_checks", 0)
         prepass_unsat_before = getattr(solver, "guard_prepass_unsat", 0)
         stats = self.executor.stats
@@ -445,10 +449,11 @@ class VerificationSession:
                 sum(l.elapsed_seconds for l in result.layers
                     if l.name != "Resolve"), 6,
             ),
-            "solve": round(
+            "resolve": round(
                 sum(l.elapsed_seconds for l in result.layers
                     if l.name == "Resolve"), 6,
             ),
+            "solve": round(solver.check_seconds - solve_before, 6),
         }
         if self.cache is not None:
             result.cache_stats = self.cache.stats()

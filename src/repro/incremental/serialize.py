@@ -7,7 +7,8 @@ a canonical JSON form so the content-addressed cache can persist them.
 Portability contract (what makes reloading sound):
 
 - solver **terms** serialize by structure (variable names, coefficients,
-  atom kinds) and rebuild exactly;
+  atom kinds) and rebuild exactly, through the hash-consing constructors,
+  so a loaded term *is* the live term of that structure;
 - **pointers** serialize as ``(block_id, path)``. Heap construction is
   deterministic, so block ids are portable between two sessions built from
   the *same zone content* — which is precisely what the cache keys

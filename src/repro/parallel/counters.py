@@ -21,6 +21,7 @@ def unit_perf(result, cache=None) -> Dict[str, float]:
     perf: Dict[str, float] = {
         "compile_seconds": 0.0,
         "summarize_seconds": 0.0,
+        "resolve_seconds": 0.0,
         "solve_seconds": 0.0,
         "elapsed_seconds": 0.0,
         "cache_hits": 0,
@@ -35,6 +36,7 @@ def unit_perf(result, cache=None) -> Dict[str, float]:
         phases = result.phase_seconds or {}
         perf["compile_seconds"] = phases.get("compile", 0.0)
         perf["summarize_seconds"] = phases.get("summarize", 0.0)
+        perf["resolve_seconds"] = phases.get("resolve", 0.0)
         perf["solve_seconds"] = phases.get("solve", 0.0)
         perf["elapsed_seconds"] = result.elapsed_seconds
         stats = result.cache_stats or {}
@@ -60,6 +62,7 @@ def perf_phases(perf: Optional[Dict]) -> Dict[str, float]:
     return {
         "compile": perf.get("compile_seconds", 0.0),
         "summarize": perf.get("summarize_seconds", 0.0),
+        "resolve": perf.get("resolve_seconds", 0.0),
         "solve": perf.get("solve_seconds", 0.0),
     }
 
@@ -76,7 +79,8 @@ class PerfCounters:
     units_timed_out: int = 0
     compile_seconds: float = 0.0
     summarize_seconds: float = 0.0
-    solve_seconds: float = 0.0
+    resolve_seconds: float = 0.0
+    solve_seconds: float = 0.0  # inside Solver.check; overlaps the two above
     busy_seconds: float = 0.0  # sum of per-unit wall time across workers
     wall_seconds: float = 0.0
     cache_hits: int = 0
@@ -100,6 +104,7 @@ class PerfCounters:
             return
         self.compile_seconds += perf.get("compile_seconds", 0.0)
         self.summarize_seconds += perf.get("summarize_seconds", 0.0)
+        self.resolve_seconds += perf.get("resolve_seconds", 0.0)
         self.solve_seconds += perf.get("solve_seconds", 0.0)
         self.busy_seconds += perf.get("elapsed_seconds", 0.0)
         self.cache_hits += int(perf.get("cache_hits", 0))
@@ -152,6 +157,7 @@ class PerfCounters:
             "units_timed_out": self.units_timed_out,
             "compile_seconds": round(self.compile_seconds, 6),
             "summarize_seconds": round(self.summarize_seconds, 6),
+            "resolve_seconds": round(self.resolve_seconds, 6),
             "solve_seconds": round(self.solve_seconds, 6),
             "busy_seconds": round(self.busy_seconds, 6),
             "wall_seconds": round(self.wall_seconds, 6),

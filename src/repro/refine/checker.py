@@ -125,7 +125,7 @@ def check_refinement(
 
     for code_out in code_outcomes:
         if code_out.is_panic:
-            verdict = solver.check(*(code_out.state.pc + relation_list))
+            verdict = solver.check(*relation_list, path=code_out.state.pc)
             if verdict is not SolveResult.UNSAT:
                 model = solver.model() if verdict is SolveResult.SAT else None
                 report.mismatches.append(
@@ -137,7 +137,7 @@ def check_refinement(
     if not (stop_at_first and not report.verified):
         for spec_out in spec_outcomes:
             if spec_out.is_panic:
-                panic_verdict = solver.check(*spec_out.state.pc)
+                panic_verdict = solver.check(path=spec_out.state.pc)
                 if panic_verdict is SolveResult.UNSAT:
                     continue
                 if panic_verdict is SolveResult.UNKNOWN:
@@ -158,8 +158,8 @@ def check_refinement(
             for spec_out in spec_outcomes:
                 if spec_out.is_panic:
                     continue
-                joint = code_out.state.pc + spec_out.state.pc + relation_list
-                verdict = solver.check(*joint)
+                joint = code_out.state.pc + spec_out.state.pc
+                verdict = solver.check(*relation_list, path=joint)
                 if verdict is SolveResult.UNSAT:
                     continue
                 report.pairs_checked += 1
@@ -180,7 +180,7 @@ def check_refinement(
                 from repro.solver.terms import or_
 
                 differs = or_(*diff_parts)
-                verdict = solver.check(*(joint + [differs]))
+                verdict = solver.check(*relation_list, differs, path=joint)
                 if verdict is SolveResult.UNSAT:
                     continue
                 model = solver.model() if verdict is SolveResult.SAT else None
@@ -241,7 +241,7 @@ def check_refinement_nested(
         if len(report.mismatches) >= max_mismatches:
             break
         if code_out.is_panic:
-            verdict = solver.check(*code_out.state.pc)
+            verdict = solver.check(path=code_out.state.pc)
             if verdict is not SolveResult.UNSAT:
                 model = solver.model() if verdict is SolveResult.SAT else None
                 report.mismatches.append(
@@ -256,7 +256,7 @@ def check_refinement_nested(
         code_value = observe_code(code_out)
         for spec_out in spec_outcomes:
             if spec_out.is_panic:
-                panic_verdict = solver.check(*spec_out.state.pc)
+                panic_verdict = solver.check(path=spec_out.state.pc)
                 if panic_verdict is SolveResult.UNSAT:
                     continue
                 if panic_verdict is SolveResult.UNKNOWN:
@@ -274,7 +274,7 @@ def check_refinement_nested(
             differs = value_diff_formula(
                 code_value, memory, observe_spec(spec_out), memory
             )
-            verdict = solver.check(*(spec_out.state.pc + [differs]))
+            verdict = solver.check(differs, path=spec_out.state.pc)
             if verdict is SolveResult.UNSAT:
                 continue
             model = solver.model() if verdict is SolveResult.SAT else None
@@ -313,7 +313,7 @@ def check_safety(
     for outcome in outcomes:
         if not outcome.is_panic:
             continue
-        verdict = solver.check(*outcome.state.pc)
+        verdict = solver.check(path=outcome.state.pc)
         if verdict is SolveResult.UNSAT:
             continue
         model = solver.model() if verdict is SolveResult.SAT else None

@@ -10,8 +10,10 @@ helpers on top of :mod:`repro.solver.sat`.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Union
+from time import perf_counter
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.resilience import faults
 from repro.solver import sat
 from repro.solver.terms import (
     EQ,
@@ -98,6 +100,8 @@ class Solver:
         self._model: Optional[Model] = None
         self._result_cache: Dict[frozenset, tuple] = {}
         self.num_checks = 0
+        #: Seconds spent inside :meth:`check`, summed over every call.
+        self.check_seconds = 0.0
         #: Optional[repro.resilience.Budget] — consulted cooperatively at
         #: check entry; exhaustion degrades the check to UNKNOWN (the sound
         #: default everywhere) instead of raising out of the search.
@@ -136,9 +140,13 @@ class Solver:
 
     # -- checking ------------------------------------------------------------
 
-    def check(self, *extra: Union[BoolExpr, bool],
-              guard: bool = False) -> SolveResult:
-        """Satisfiability of the assertions plus ``extra``.
+    def check(self, *extra: Union[BoolExpr, bool], guard: bool = False,
+              path: Sequence[BoolExpr] = ()) -> SolveResult:
+        """Satisfiability of the assertions plus ``path`` plus ``extra``.
+
+        ``path`` is a path condition, handed over as the list it already
+        is: its formulas must be :class:`BoolExpr` (``extra`` may also
+        hold plain bools), so they are neither splatted nor converted.
 
         ``guard=True`` marks a panic-guard feasibility query (the
         executor's hot path): a difference-bound prepass scans the
@@ -149,14 +157,13 @@ class Solver:
         would return — just cheaper when the analysis-discharged facts
         already close the cycle.
         """
-        from repro.resilience import faults
+        started = perf_counter()
+        try:
+            return self._check(path, extra, guard)
+        finally:
+            self.check_seconds += perf_counter() - started
 
-        formulas = list(self._assertions)
-        for formula in extra:
-            if isinstance(formula, bool):
-                formula = bool_const(formula)
-            formulas.append(formula)
-
+    def _check(self, path: Sequence[BoolExpr], extra, guard: bool) -> SolveResult:
         # Degraded modes come first and are never result-cached: a later
         # check of the same formulas under a fresh budget must re-solve.
         if self.budget is not None and self.budget.exhausted() is not None:
@@ -167,6 +174,12 @@ class Solver:
             self.injected_unknowns += 1
             self._model = None
             return SolveResult.UNKNOWN
+
+        formulas = [*self._assertions, *path]
+        for formula in extra:
+            if isinstance(formula, bool):
+                formula = bool_const(formula)
+            formulas.append(formula)
 
         key = frozenset(formulas)
         cached = self._result_cache.get(key)

@@ -15,16 +15,57 @@ normalise on the fly:
   negation of ``EQ`` would otherwise blow up into disjunctions;
 - negation is pushed to atoms immediately (formulas are always in NNF);
 - ``and_``/``or_`` flatten, deduplicate and short-circuit on complements.
+
+Every term is *hash-consed*: constructing a term returns the one live
+instance with that structure, so term equality is object identity and
+the solver's caches compare path conditions without walking them. Hashes
+stay structural (see :data:`_TABLE`).
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
 
 
 class NonLinearError(TypeError):
     """Raised when an operation would leave the linear fragment."""
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing.
+# ---------------------------------------------------------------------------
+
+#: Structural key -> the one live term with that structure. Values are
+#: weak, so a term nobody references drops out of the table. Each key is
+#: the tuple whose hash is the term's hash: a structural value, not an
+#: address, so set iteration order -- and with it the sat search order
+#: and counterexample models -- is the same in every run.
+_TABLE: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
+#: Lookup fast path: the table's underlying key -> weakref dict.
+_find = _TABLE.data.get
+#: Serialises inserts, so two threads building the same term agree on it.
+_INSERT_LOCK = threading.Lock()
+
+
+def _lookup(key: tuple):
+    """The live term stored under ``key``, or None."""
+    ref = _find(key)
+    return ref() if ref is not None else None
+
+
+def _insert(key: tuple, term):
+    """Publish a freshly built ``term`` under ``key`` and return the
+    interned term: ``term`` itself, or the one another thread published
+    first."""
+    with _INSERT_LOCK:
+        live = _lookup(key)
+        if live is not None:
+            return live
+        _TABLE[key] = term
+        return term
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +76,25 @@ class NonLinearError(TypeError):
 class IntExpr:
     """A linear integer expression ``sum(coeff_i * var_i) + const``.
 
-    Immutable; ``coeffs`` is a tuple of ``(var_name, coeff)`` sorted by name
-    with no zero coefficients.
+    Immutable and interned; ``coeffs`` is a tuple of ``(var_name, coeff)``
+    sorted by name with no zero coefficients.
     """
 
-    __slots__ = ("coeffs", "const", "_hash")
+    __slots__ = ("coeffs", "const", "_hash", "__weakref__")
 
-    def __init__(self, coeffs: Tuple[Tuple[str, int], ...], const: int):
-        self.coeffs = coeffs
-        self.const = const
-        self._hash = hash((coeffs, const))
+    def __new__(cls, coeffs: Tuple[Tuple[str, int], ...], const: int):
+        key = (coeffs, const)
+        self = _lookup(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.coeffs = coeffs
+            self.const = const
+            self._hash = hash(key)
+            self = _insert(key, self)
+        return self
+
+    def __reduce__(self):
+        return IntExpr, (self.coeffs, self.const)
 
     @property
     def is_const(self) -> bool:
@@ -59,13 +109,6 @@ class IntExpr:
         if not self.is_var:
             raise ValueError(f"{self} is not a plain variable")
         return self.coeffs[0][0]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntExpr)
-            and self.coeffs == other.coeffs
-            and self.const == other.const
-        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -149,9 +192,10 @@ def imul(a: Union[IntExpr, int], b: Union[IntExpr, int]) -> IntExpr:
 
 
 class BoolExpr:
-    """Base class for boolean formulas. All instances are immutable."""
+    """Base class for boolean formulas. All instances are immutable and
+    interned."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __and__(self, other: "BoolExpr") -> "BoolExpr":
         return and_(self, other)
@@ -164,16 +208,23 @@ class BoolExpr:
 
 
 class BoolConst(BoolExpr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
-    def __init__(self, value: bool):
-        self.value = value
+    def __new__(cls, value: bool):
+        key = ("bconst", value)
+        self = _lookup(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.value = value
+            self._hash = hash(key)
+            self = _insert(key, self)
+        return self
 
-    def __eq__(self, other):
-        return isinstance(other, BoolConst) and self.value == other.value
+    def __reduce__(self):
+        return BoolConst, (self.value,)
 
     def __hash__(self):
-        return hash(("bconst", self.value))
+        return self._hash
 
     def __repr__(self):
         return "true" if self.value else "false"
@@ -200,17 +251,19 @@ class BoolLit(BoolExpr):
 
     __slots__ = ("name", "positive", "_hash")
 
-    def __init__(self, name: str, positive: bool = True):
-        self.name = name
-        self.positive = positive
-        self._hash = hash(("blit", name, positive))
+    def __new__(cls, name: str, positive: bool = True):
+        key = ("blit", name, positive)
+        self = _lookup(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.name = name
+            self.positive = positive
+            self._hash = hash(key)
+            self = _insert(key, self)
+        return self
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoolLit)
-            and self.name == other.name
-            and self.positive == other.positive
-        )
+    def __reduce__(self):
+        return BoolLit, (self.name, self.positive)
 
     def __hash__(self):
         return self._hash
@@ -230,21 +283,27 @@ _NEGATED_KIND = {EQ: NE, NE: EQ}
 
 
 class Atom(BoolExpr):
-    """A normalised linear atom ``expr <kind> 0``."""
+    """A normalised linear atom ``expr <kind> 0``.
 
-    __slots__ = ("kind", "expr", "_hash")
+    ``_neg`` memoises :func:`not_` of the atom once it has been asked for.
+    """
 
-    def __init__(self, kind: str, expr: IntExpr):
-        self.kind = kind
-        self.expr = expr
-        self._hash = hash(("atom", kind, expr))
+    __slots__ = ("kind", "expr", "_hash", "_neg")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Atom)
-            and self.kind == other.kind
-            and self.expr == other.expr
-        )
+    def __new__(cls, kind: str, expr: IntExpr):
+        key = ("atom", kind, expr)
+        self = _lookup(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.kind = kind
+            self.expr = expr
+            self._hash = hash(key)
+            self._neg = None
+            self = _insert(key, self)
+        return self
+
+    def __reduce__(self):
+        return Atom, (self.kind, self.expr)
 
     def __hash__(self):
         return self._hash
@@ -260,12 +319,18 @@ class NaryBool(BoolExpr):
     __slots__ = ("args", "_hash")
     symbol = "?"
 
-    def __init__(self, args: Tuple[BoolExpr, ...]):
-        self.args = args
-        self._hash = hash((type(self).__name__, args))
+    def __new__(cls, args: Tuple[BoolExpr, ...]):
+        key = (cls.__name__, args)
+        self = _lookup(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.args = args
+            self._hash = hash(key)
+            self = _insert(key, self)
+        return self
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self.args == other.args
+    def __reduce__(self):
+        return type(self), (self.args,)
 
     def __hash__(self):
         return self._hash
@@ -353,15 +418,20 @@ def beq(a: BoolExpr, b: BoolExpr) -> BoolExpr:
 
 def not_(formula: BoolExpr) -> BoolExpr:
     """Negation, pushed down so results stay in NNF."""
+    if isinstance(formula, Atom):
+        negated = formula._neg
+        if negated is None:
+            if formula.kind == LE:
+                # not(e <= 0)  <=>  -e + 1 <= 0
+                negated = _normalize_atom(LE, iadd(ineg(formula.expr), 1))
+            else:
+                negated = Atom(_NEGATED_KIND[formula.kind], formula.expr)
+            formula._neg = negated
+        return negated
     if isinstance(formula, BoolConst):
         return bool_const(not formula.value)
     if isinstance(formula, BoolLit):
         return BoolLit(formula.name, not formula.positive)
-    if isinstance(formula, Atom):
-        if formula.kind == LE:
-            # not(e <= 0)  <=>  -e + 1 <= 0
-            return _normalize_atom(LE, iadd(ineg(formula.expr), 1))
-        return Atom(_NEGATED_KIND[formula.kind], formula.expr)
     if isinstance(formula, And):
         return or_(*[not_(arg) for arg in formula.args])
     if isinstance(formula, Or):
@@ -375,21 +445,21 @@ def _flatten(cls, formulas: Iterable[BoolExpr], absorbing: BoolConst, neutral: B
     for formula in formulas:
         if not isinstance(formula, BoolExpr):
             raise TypeError(f"not a boolean formula: {formula!r}")
-        if formula == absorbing:
+        if formula is absorbing:
             return None  # caller returns absorbing
-        if formula == neutral:
+        if formula is neutral:
             continue
         args = formula.args if isinstance(formula, cls) else (formula,)
         for arg in args:
-            if arg == absorbing:
+            if arg is absorbing:
                 return None
-            if arg == neutral or arg in seen_set:
+            if arg is neutral or arg in seen_set:
                 continue
             seen.append(arg)
             seen_set.add(arg)
     # Complement detection: p and !p.
     for arg in seen:
-        if not_(arg) in seen_set and isinstance(arg, (BoolLit, Atom)):
+        if isinstance(arg, (BoolLit, Atom)) and not_(arg) in seen_set:
             return None
     return seen
 

@@ -157,7 +157,7 @@ class Summary:
             condition = substitute(case.condition, subst)
             if condition == bfalse():
                 continue
-            if executor.solver.check(*(state.pc + [condition])) is SolveResult.UNSAT:
+            if executor.solver.check(condition, path=state.pc) is SolveResult.UNSAT:
                 continue
             branch = state.fork()
             branch.assume(condition)

@@ -40,6 +40,7 @@ from repro.ir import (
 from repro.ir.types import TypeRegistry
 from repro.solver import Solver, SolveResult
 from repro.solver.terms import (
+    BoolConst,
     BoolExpr,
     IntExpr,
     NonLinearError,
@@ -47,6 +48,8 @@ from repro.solver.terms import (
     beq,
     bool_const,
     eq,
+    eval_expr,
+    free_vars,
     ge,
     gt,
     iadd,
@@ -333,19 +336,19 @@ class Executor:
         if witness_says is True:
             feasible_true = True
             feasible_false, false_witness = self._feasible_with_model(
-                state.pc + [negated], guard=guard
+                state.pc, negated, guard
             )
         elif witness_says is False:
             feasible_false = True
             feasible_true, true_witness = self._feasible_with_model(
-                state.pc + [cond], guard=guard
+                state.pc, cond, guard
             )
         else:
             feasible_true, true_witness = self._feasible_with_model(
-                state.pc + [cond], guard=guard
+                state.pc, cond, guard
             )
             feasible_false, false_witness = self._feasible_with_model(
-                state.pc + [negated], guard=guard
+                state.pc, negated, guard
             )
         if feasible_true and feasible_false:
             other = state.fork()
@@ -408,7 +411,7 @@ class Executor:
             self._checked_sites.add(term.site)
             panic_cond = cond if term.panic_on_true else not_(cond)
             self.stats.solver_checks += 1
-            if self.solver.check(*(state.pc + [panic_cond])) is SolveResult.SAT:
+            if self.solver.check(panic_cond, path=state.pc) is SolveResult.SAT:
                 raise SymexError(
                     f"analysis check failed: panic side of elided "
                     f"{term.kind} guard at {term.site} is satisfiable"
@@ -416,18 +419,19 @@ class Executor:
         state.assume(survive)
         work.append((state, regs, term.target, 0))
 
-    def _feasible_with_model(self, conditions, guard: bool = False):
+    def _feasible_with_model(self, pc, cond, guard: bool = False):
+        """Is ``pc`` plus ``cond`` satisfiable, and with which model?"""
         self.stats.solver_checks += 1
-        verdict = self.solver.check(*conditions, guard=guard)
+        verdict = self.solver.check(cond, guard=guard, path=pc)
         if verdict is SolveResult.SAT:
             return True, self.solver.model().as_dict()
         if verdict is SolveResult.UNKNOWN:
             return True, None
         return False, None
 
-    def _feasible(self, conditions) -> bool:
+    def _feasible(self, pc, cond) -> bool:
         self.stats.solver_checks += 1
-        return self.solver.check(*conditions) is not SolveResult.UNSAT
+        return self.solver.check(cond, path=pc) is not SolveResult.UNSAT
 
     def _fork_on_index(self, state, regs, label, i, fork_request, work) -> None:
         """Concretization by forking: retry the same instruction once per
@@ -443,7 +447,7 @@ class Executor:
         forked = 0
         for k in candidates:
             pin = eq(index, k)
-            if not self._feasible(state.pc + [pin]):
+            if not self._feasible(state.pc, pin):
                 continue
             branch = state.fork()
             branch.assume(pin)
@@ -589,10 +593,10 @@ class Executor:
         if isinstance(index, IntExpr):
             if index.is_const:
                 return Pointer(ptr.block_id, (index.const,))
-            if self.solver.check(*state.pc) is not SolveResult.SAT:
+            if self.solver.check(path=state.pc) is not SolveResult.SAT:
                 raise SymexError("cannot concretise index on infeasible path")
             guess = self.solver.model().evaluate(index)
-            pinned = self.solver.check(*(state.pc + [ne(index, guess)]))
+            pinned = self.solver.check(ne(index, guess), path=state.pc)
             if pinned is SolveResult.UNSAT:
                 return Pointer(ptr.block_id, (int(guess),))
             # Several indices feasible: fall back to concretization by
@@ -652,15 +656,11 @@ class Executor:
 
 
 def _eval_with_default(expr: BoolExpr, model: dict) -> bool:
-    from repro.solver.terms import eval_expr, free_vars
-
     filled = {name: model.get(name, 0) for name in free_vars(expr)}
     return bool(eval_expr(expr, filled))
 
 
 def _as_concrete_bool(value: BoolExpr) -> Optional[bool]:
-    from repro.solver.terms import BoolConst
-
     if isinstance(value, BoolConst):
         return value.value
     return None

@@ -52,7 +52,10 @@ class TestPartitionedVerify:
     def test_partitioned_result_carries_phase_counters(self):
         zone = ZoneGenerator(CONFIG).generate(0)
         result = verify_engine(zone, "verified", VerifyOptions(workers=2))
-        assert set(result.phase_seconds) == {"compile", "summarize", "solve"}
+        assert set(result.phase_seconds) == {
+            "compile", "summarize", "resolve", "solve"
+        }
+        assert result.phase_seconds["resolve"] > 0
         assert result.phase_seconds["solve"] > 0
 
     def test_per_unit_budget_degrades_to_unknown(self):

@@ -1,11 +1,22 @@
 """Unit tests for the solver term language."""
 
+import gc
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.incremental.serialize import term_from_json, term_to_json
+from repro.solver import terms
 from repro.solver.terms import (
+    FALSE,
+    TRUE,
+    And,
     Atom,
+    BoolConst,
     BoolLit,
+    IntExpr,
+    Or,
     EQ,
     LE,
     NE,
@@ -221,3 +232,79 @@ class TestAlgebraicProperties:
         for make in (le, lt, eq, ne):
             formula = make(a.expr, b.expr)
             assert eval_expr(not_(formula), model) == (not eval_expr(formula, model))
+
+
+class TestHashConsing:
+    """At most one live instance per structure, so ``==`` is ``is``."""
+
+    def test_equal_constructions_are_identical(self):
+        assert iadd(x, 1) is iadd(1, x)
+        assert isub(iadd(x, y), y) is x
+        assert le(iadd(x, 1), y) is le(x, isub(y, 1))
+        assert lt(x, y) is le(iadd(x, 1), y)
+        assert eq(x, y) is eq(y, x)
+        assert ne(x, y) is not_(eq(x, y))
+        assert not_(le(x, y)) is lt(y, x)
+        a, b = le(x, 3), ne(y, z)
+        assert and_(a, b) is and_(a, b)
+        assert or_(a, b) is or_(a, b)
+        assert and_(a, b) is not and_(b, a)  # argument order is structure
+        assert substitute(le(x, z), {"z": y}) is le(x, y)
+        assert substitute(and_(bvar("p"), lt(z, 4)), {"z": y}) is and_(
+            bvar("p"), lt(y, 4))
+
+    @given(st.integers(-20, 20), st.integers(-3, 3), st.integers(-3, 3))
+    def test_equal_sums_are_identical(self, c, cx, cy):
+        left = iadd(iadd(imul(cx, x), imul(cy, y)), c)
+        right = iadd(c, iadd(imul(cy, y), imul(cx, x)))
+        assert left is right
+        assert le(left, z) is le(right, z)
+
+    def test_double_negation_is_identity(self):
+        for formula in (le(x, y), lt(iadd(x, 2), imul(3, y)), eq(x, 4),
+                        ne(x, y), bvar("p"), not_(bvar("q")), TRUE):
+            assert not_(not_(formula)) is formula
+
+    def test_negation_is_memoised(self):
+        atom = le(iadd(x, 7), y)
+        assert atom._neg is None
+        negated = not_(atom)
+        assert atom._neg is negated
+        assert not_(atom) is negated
+
+    @pytest.mark.parametrize("term", [
+        iadd(imul(2, x), -5), TRUE, FALSE, bvar("p"), not_(bvar("p")),
+        le(x, y), eq(x, 3), ne(x, z),
+        and_(le(x, y), bvar("p")), or_(eq(x, 1), ne(y, 2)),
+    ], ids=repr)
+    def test_round_trips_return_the_interned_term(self, term):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert term_from_json(term_to_json(term)) is term
+
+    def test_dropped_terms_leave_the_table(self):
+        def probes():
+            return [key for key in list(terms._TABLE.keys())
+                    if "weak_probe" in repr(key)]
+
+        probe = le(ivar("weak_probe"), 0)
+        negated = not_(probe)  # the memo links the pair in a cycle
+        assert len(probes()) == 4  # two atoms, two expressions
+        del probe, negated
+        gc.collect()
+        assert probes() == []
+
+    def test_hashes_stay_structural(self):
+        expr = iadd(imul(2, x), 1)
+        assert hash(expr) == hash(((("x", 2),), 1))
+        assert hash(TRUE) == hash(("bconst", True))
+        assert hash(bvar("p")) == hash(("blit", "p", True))
+        atom = le(x, y)
+        assert hash(atom) == hash(("atom", LE, isub(x, y)))
+        conj = and_(atom, bvar("p"))
+        assert hash(conj) == hash(("And", conj.args))
+        disj = or_(atom, bvar("p"))
+        assert hash(disj) == hash(("Or", disj.args))
+
+    def test_no_structural_eq(self):
+        for cls in (IntExpr, BoolConst, BoolLit, Atom, And, Or):
+            assert cls.__eq__ is object.__eq__, cls
