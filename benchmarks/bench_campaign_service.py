@@ -12,8 +12,8 @@ Three questions about the continuous campaign daemon, measured:
   engine version actually yields (the v2.0 points double as a liveness
   check that the adversarial profiles keep finding the Table-2 bugs);
 - **checkpoint overhead** — the crash-safety tax: cumulative seconds
-  spent in ``CheckpointWriter.append`` (atomic whole-file republish per
-  unit) as a fraction of campaign wall time.
+  spent in ``CheckpointWriter.append`` (one fsync'd line append per unit)
+  as a fraction of campaign wall time.
 
 Run under pytest for the harness (one small point), or standalone for
 the machine-readable trajectory committed as

@@ -69,9 +69,10 @@ class Session:
     the same zone within the session still replay their summaries, but
     nothing touches disk. ``budget`` is the per-unit wall-clock deadline
     in seconds (the keyword mirrors the CLI's ``--budget-seconds``);
-    ``workers=None`` runs sequentially, any integer fans out through
-    :mod:`repro.parallel`. Arbitrary additional ``VerifyOptions`` fields
-    can be set via ``options`` or as extra keyword arguments.
+    ``workers=None`` runs in-process (a verify monolithically), any
+    integer fans out through :mod:`repro.parallel`. Arbitrary additional
+    ``VerifyOptions`` fields can be set via ``options`` or as extra
+    keyword arguments.
     """
 
     def __init__(
@@ -165,13 +166,10 @@ class Session:
                 version,
                 num_zones=num_zones,
                 seed=seed,
+                options=options,
                 cache=self.cache,
-                budget_seconds=options.budget_seconds,
-                budget_fuel=options.fuel,
                 checkpoint=target,
                 resume=resume,
-                workers=options.workers,
-                faults=options.faults,
                 **config_kwargs,
             )
         return reports[versions] if single else reports

@@ -1,10 +1,11 @@
 """The campaign's observability stream: append-only JSONL events.
 
-One line per event, flushed on write, so an external consumer (``tail
--f``, the CI smoke job, the soak tests) can watch a live campaign. The
-stream is *telemetry*, not state: the daemon never reads it back, and a
-torn final line (SIGKILL mid-write) is skipped by :func:`read_events`
-exactly like the checkpoint loader skips torn records.
+One fsync'd line per event (:func:`repro.resilience.jsonl.append`), so
+an external consumer (``tail -f``, the CI smoke job, the soak tests) can
+watch a live campaign. The stream is *telemetry*, not state: the daemon
+never reads it back. A torn final line (SIGKILL mid-write) is sealed by
+the next run's first event and skipped by :func:`read_events`, exactly
+like the checkpoint loader skips torn records.
 
 Conservation invariant (asserted by the soak tests): at any prefix of
 the stream, ``scheduled == completed + requeued + in_flight`` where
@@ -17,10 +18,11 @@ ends with ``in_flight == 0``.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
+
+from repro.resilience import jsonl
 
 #: Event kinds the service emits.
 EV_START = "service-start"
@@ -36,48 +38,25 @@ EV_STOP = "service-stop"
 
 
 class EventLog:
-    """Append-only JSONL event writer (one flush per event)."""
+    """Append-only JSONL event writer (one durable append per event)."""
 
     def __init__(self, path, clock=time.time) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
-        self._handle = open(self.path, "a", encoding="utf-8")
         self.emitted = 0
 
     def emit(self, kind: str, **fields) -> None:
         record = {"t": round(self._clock(), 6), "kind": kind}
         record.update(fields)
-        self._handle.write(json.dumps(record, sort_keys=True,
-                                      separators=(",", ":")) + "\n")
-        self._handle.flush()
+        jsonl.append(self.path, record)
         self.emitted += 1
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
 
 
 def read_events(path) -> List[Dict]:
     """Parse an event stream; torn/corrupt lines are skipped."""
-    events: List[Dict] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict) and "kind" in record:
-                    events.append(record)
-    except FileNotFoundError:
-        return []
-    return events
+    records, _skipped = jsonl.read(path)
+    return [record for record in records if "kind" in record]
 
 
 def conservation(events: Iterable[Dict]) -> Dict[str, int]:

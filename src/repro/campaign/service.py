@@ -65,7 +65,7 @@ from repro.incremental.digest import engine_digest, zone_digest
 from repro.parallel.counters import PerfCounters
 from repro.parallel.pool import DIED, OK, TIMEOUT, run_units
 from repro.parallel.worker import campaign_service_worker
-from repro.resilience import verdicts as verdicts_mod
+from repro.resilience import jsonl, verdicts as verdicts_mod
 from repro.resilience.checkpoint import CheckpointWriter, unit_address
 from repro.resilience.supervise import CircuitBreaker, RetryPolicy
 
@@ -379,12 +379,9 @@ class CampaignService:
             self.checkpoint_path, self._header(), resume=config.resume)
         self._checkpoint_units = len(completed)
         self._checkpoint_at = time.monotonic()
-        ledger = open(self.ledger_path, "w", encoding="utf-8")
-        ledger.write(json.dumps(
+        jsonl.write_atomic(self.ledger_path, [
             {"header": {"format": LEDGER_FORMAT, "seed": config.seed,
-                        "versions": list(config.versions)}},
-            sort_keys=True, separators=(",", ":")) + "\n")
-        ledger.flush()
+                        "versions": list(config.versions)}}])
         self._events.emit(
             EV_START,
             seed=config.seed,
@@ -415,7 +412,7 @@ class CampaignService:
                     if pending_batch is None:
                         pending_batch = self._next_batch()
                     results = self._run_batch(pending_batch, writer, completed)
-                    self._absorb(pending_batch, results, ledger)
+                    self._absorb(pending_batch, results)
                     pending_batch = None
                     self.breaker.record_success()
                 except Exception as exc:  # supervision boundary
@@ -441,8 +438,6 @@ class CampaignService:
                 "verdict_mix": report.verdict_mix,
                 "breaker": report.breaker,
             })
-            self._events.close()
-            ledger.close()
             self._write_service_file(final=report)
             if self._status_channel is not None:
                 self._status_channel.close()
@@ -585,15 +580,13 @@ class CampaignService:
 
     # -- result absorption ---------------------------------------------------
 
-    def _absorb(self, units: List[WorkUnit], results: Dict[int, Dict],
-                ledger) -> None:
+    def _absorb(self, units: List[WorkUnit],
+                results: Dict[int, Dict]) -> None:
         """Fold one completed batch into ledger, corpus and feedback —
         in uid order, which is what keeps resumed schedules identical."""
         for unit in sorted(units, key=lambda u: u.uid):
             verdict = results[unit.uid]
-            ledger.write(json.dumps(self._ledger_row(unit, verdict),
-                                    sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+            jsonl.append(self.ledger_path, self._ledger_row(unit, verdict))
             with self._lock:
                 kind_count = self._verdict_mix.get(verdict["verdict"], 0)
                 self._verdict_mix[verdict["verdict"]] = kind_count + 1
@@ -606,7 +599,6 @@ class CampaignService:
                         self._bug_categories.get(category, 0) + 1)
             self.scheduler.note_result(unit, verdict)
             self._capture(unit, verdict)
-        ledger.flush()
         self._events.emit(EV_CHECKPOINT, units=self._checkpoint_units,
                           path=str(self.checkpoint_path))
 
@@ -736,14 +728,7 @@ class CampaignService:
 
 
 def read_ledger(path) -> List[Dict]:
-    """Parse a verdict ledger into its unit rows (header line dropped)."""
-    rows: List[Dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "header" not in record:
-                rows.append(record)
-    return rows
+    """Parse a verdict ledger into its unit rows (header line dropped;
+    a torn final row, as SIGKILL mid-append leaves, is skipped)."""
+    records, _skipped = jsonl.read(path)
+    return [record for record in records if "header" not in record]

@@ -164,33 +164,25 @@ def cmd_campaign(args) -> int:
     import json
 
     from repro.core import run_campaign
-    from repro.resilience import faults, verdicts
+    from repro.resilience import verdicts
 
     if args.status:
         return _campaign_status(args)
     if args.serve:
         return _campaign_serve(args)
     cache = _make_cache(args)
-    workers = args.workers
-    plan = None if workers is not None else _parse_faults(args.faults)
-    if plan is not None:
-        faults.install(plan)
-    try:
-        report = run_campaign(
-            args.version,
-            num_zones=args.zones,
-            seed=args.seed,
-            cache=cache,
-            budget_seconds=args.budget_seconds,
-            budget_fuel=args.fuel,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            workers=workers,
-            faults=args.faults if workers is not None else None,
-        )
-    finally:
-        if plan is not None:
-            faults.clear()
+    report = run_campaign(
+        args.version,
+        num_zones=args.zones,
+        seed=args.seed,
+        cache=cache,
+        budget_seconds=args.budget_seconds,
+        budget_fuel=args.fuel,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        workers=args.workers,
+        faults=args.faults,
+    )
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:

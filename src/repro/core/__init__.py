@@ -11,7 +11,6 @@ Public API:
 """
 
 from repro.core.campaign import (
-    Campaign,
     CampaignReport,
     UNIT_ERRORS,
     ZoneVerdict,
@@ -39,7 +38,6 @@ from repro.core.pipeline import (
 )
 
 __all__ = [
-    "Campaign",
     "CampaignReport",
     "UNIT_ERRORS",
     "ZoneVerdict",

@@ -3,9 +3,10 @@
 Section 6.5/9: each run of the overall verification proves the engine
 correct and safe *for one concrete zone snapshot*; the production workflow
 runs it over tens of thousands of randomly generated zone configurations
-(plus the live ones) on every engine iteration. A :class:`Campaign` is that
-loop: a stream of zones, one pipeline run per (zone, version), aggregated
-into a coverage/verdict report.
+(plus the live ones) on every engine iteration. :func:`run_campaign` is
+that loop: a stream of zones, one pipeline run per (zone, version) fanned
+through the :mod:`repro.parallel` pool (in-process for one worker),
+aggregated into a coverage/verdict report.
 
 For speed, each zone is first smoke-tested differentially (milliseconds);
 zones the differential already refutes can optionally skip the heavier
@@ -16,10 +17,12 @@ proof available per zone.
 from __future__ import annotations
 
 import json
+import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.options import VerifyOptions
 from repro.core.pipeline import VerificationResult, VerificationSession
 from repro.dns.zone import Zone
 from repro.frontend.errors import GoPyError
@@ -200,10 +203,10 @@ def run_unit(
 ) -> Tuple[ZoneVerdict, Optional[VerificationResult]]:
     """Verify one (zone, version) campaign unit.
 
-    This is THE unit of work — the sequential :class:`Campaign` loop and
-    the :mod:`repro.parallel` pool workers both call it, which is what
-    makes a parallel campaign's verdicts bit-identical to a sequential
-    one's. Returns the typed verdict plus the underlying
+    This is THE unit of work — the campaign's pool workers call it
+    (:func:`repro.parallel.worker.campaign_unit_worker`), in-process or
+    not, which is what makes a campaign's verdicts bit-identical across
+    worker counts. Returns the typed verdict plus the underlying
     :class:`VerificationResult` (None when the unit died of a typed
     error) so callers can harvest perf/phase statistics.
     """
@@ -265,141 +268,40 @@ def run_unit(
     )
 
 
-class Campaign:
-    """Run the pipeline over a stream of zones."""
+def _grace_seconds(options) -> Optional[float]:
+    """Pool stall watchdog, sized from the per-unit budget: generous
+    enough that a cooperative deadline always fires first, tight enough
+    that a wedged worker cannot hang the run. None (no watchdog) when
+    the run is unbudgeted — then nothing bounds a unit by design."""
+    if options.budget_seconds is None:
+        return None
+    return 3.0 * options.budget_seconds + 30.0
 
-    def __init__(
-        self,
-        zones: Optional[Iterable[Zone]] = None,
-        generator_config: Optional[GeneratorConfig] = None,
-        num_zones: int = 10,
-    ):
-        if zones is not None:
-            self._zones = list(zones)
-        else:
-            config = generator_config or GeneratorConfig(
-                num_hosts=4, num_wildcards=1, num_delegations=1,
-                num_cnames=1, num_mx=1,
-            )
-            self._zones = list(ZoneGenerator(config).stream(num_zones))
 
-    @property
-    def zones(self) -> List[Zone]:
-        return list(self._zones)
-
-    #: Kept as an alias for backward compatibility (see module-level
-    #: :data:`UNIT_ERRORS`).
-    _UNIT_ERRORS = UNIT_ERRORS
-
-    def run(
-        self,
-        version: str,
-        smoke_first: bool = True,
-        max_zone_seconds: Optional[float] = None,
-        cache=None,
-        budget_seconds: Optional[float] = None,
-        budget_fuel: Optional[int] = None,
-        checkpoint=None,
-        resume: bool = False,
-    ) -> CampaignReport:
-        """Verify ``version`` on every zone; returns the aggregate report.
-
-        With ``smoke_first`` the differential tester runs before each
-        proof (its divergence count is recorded either way — a sanity
-        cross-check: the prover must refute every zone the tester does).
-        ``cache`` (a :class:`repro.incremental.cache.SummaryCache`) is
-        shared across every zone of the campaign, so repeated or related
-        snapshots replay their summaries and refinement verdicts.
-
-        ``budget_seconds``/``budget_fuel`` bound each *unit* (one zone)
-        with a fresh cooperative :class:`~repro.resilience.Budget`;
-        exhaustion records an ``UNKNOWN`` verdict and the campaign moves
-        on. A unit that dies of a compile/verify error records a typed
-        ``ERROR`` verdict instead of aborting the run.
-
-        ``checkpoint`` names a JSONL file that receives one atomic record
-        per completed unit; with ``resume=True`` the units already in it
-        are replayed bit-identically (verdicts, solver-check counts —
-        everything but wall-clock time) instead of re-run, so a SIGKILLed
-        campaign restarts where it died.
-        """
-        report = CampaignReport(version)
-        started = time.perf_counter()
-        writer, completed = self._open_checkpoint(
-            checkpoint, version, smoke_first, resume
-        )
-        for index, zone in enumerate(self._zones):
-            unit_key = self._unit_key(index, zone, version)
-            if writer is not None:
-                cached = completed.get(unit_address(unit_key))
-                if cached is not None:
-                    report.verdicts.append(ZoneVerdict.from_json(cached))
-                    continue
-            verdict = self._run_unit(
-                index, zone, version, smoke_first, cache,
-                budget_seconds, budget_fuel,
-            )
-            report.verdicts.append(verdict)
-            if writer is not None:
-                writer.append(unit_key, verdict.to_json())
-            if (
-                max_zone_seconds is not None
-                and time.perf_counter() - started > max_zone_seconds * len(self._zones)
-            ):
-                break
-        report.elapsed_seconds = time.perf_counter() - started
-        return report
-
-    def _run_unit(
-        self,
-        index: int,
-        zone: Zone,
-        version: str,
-        smoke_first: bool,
-        cache,
-        budget_seconds: Optional[float],
-        budget_fuel: Optional[int],
-    ) -> ZoneVerdict:
-        verdict, _result = run_unit(
-            index, zone, version, smoke_first, cache,
-            budget_seconds, budget_fuel,
-        )
-        return verdict
-
-    # -- checkpoint plumbing ------------------------------------------------
-
-    def _campaign_header(self, version: str, smoke_first: bool) -> Dict:
-        from repro.incremental.digest import engine_digest, zone_digest
-
-        return {
-            "kind": "campaign",
-            "version": version,
-            "engine": engine_digest(version),
-            "smoke_first": smoke_first,
-            "zones": [zone_digest(zone) for zone in self._zones],
-        }
-
-    def _unit_key(self, index: int, zone: Zone, version: str) -> Dict:
-        from repro.incremental.digest import engine_digest, zone_digest
-
-        return {
-            "index": index,
-            "zone": zone_digest(zone),
-            "engine": engine_digest(version),
-        }
-
-    def _open_checkpoint(self, checkpoint, version: str, smoke_first: bool,
-                         resume: bool):
-        if checkpoint is None:
-            return None, {}
-        header = self._campaign_header(version, smoke_first)
-        return CheckpointWriter.open(checkpoint, header, resume=resume)
+def _timeout_verdict(index: int, zone: Zone) -> ZoneVerdict:
+    """A unit whose worker stalled past the grace period: its coverage is
+    lost, typed as UNKNOWN(wall-clock-deadline) — the campaign analogue of
+    a cooperative budget expiry, just enforced from outside."""
+    return ZoneVerdict(
+        zone_index=index,
+        zone_origin=zone.origin.to_text(),
+        records=len(zone),
+        verified=False,
+        bug_categories=(),
+        elapsed_seconds=0.0,
+        solver_checks=0,
+        differential_divergences=0,
+        verdict=verdicts_mod.UNKNOWN,
+        unknown_reason=verdicts_mod.REASON_DEADLINE,
+    )
 
 
 def run_campaign(
     version: str,
     num_zones: int = 10,
     seed: int = 2023,
+    zones: Optional[Sequence[Zone]] = None,
+    options: Optional[VerifyOptions] = None,
     cache=None,
     budget_seconds: Optional[float] = None,
     budget_fuel: Optional[int] = None,
@@ -409,46 +311,108 @@ def run_campaign(
     faults: Optional[str] = None,
     **config_overrides,
 ) -> CampaignReport:
-    """Convenience API: generate ``num_zones`` zones and verify ``version``
-    on each; ``cache`` is shared by every zone. Budget and checkpoint
-    arguments are forwarded to :meth:`Campaign.run`.
+    """Verify ``version`` on every zone; returns the aggregate report.
 
-    ``workers`` (any integer, including 1) routes the campaign through
-    the :mod:`repro.parallel` pooled executor; its canonical report is
-    bit-identical across worker counts. ``faults`` (a spec string) is
-    only honoured on that path, where it derives one deterministic plan
-    per unit id; sequential callers install a plan globally instead.
+    Zones come from an explicit ``zones`` list or are generated from
+    ``GeneratorConfig(seed=seed, **config_overrides)``. Configuration
+    travels in ``options``; the ``budget_seconds``/``budget_fuel``/
+    ``workers``/``faults`` keywords, when given, override its fields, and
+    a disk-backed ``cache`` lends its directory (every unit opens its own
+    handle on it — a memory-only cache cannot be shared across units).
+    ``options.smoke_first`` runs the differential tester before each
+    proof (the prover must refute every zone the tester does).
+
+    Units fan out across ``options.workers`` processes; None or 1 runs
+    them in-process. Every count runs the same worker function on the
+    same inputs, so the canonical report is bit-identical for any count.
+    Each unit gets a fresh budget and its own fault plan derived from
+    ``(faults, unit index)``; exhaustion records an ``UNKNOWN`` verdict,
+    a unit that dies of a typed error records ``ERROR``, and the campaign
+    moves on.
+
+    ``checkpoint`` names a JSONL file that receives one durable record
+    per completed unit, written by this process only (workers return
+    verdicts); with ``resume=True`` the units already in it are replayed
+    bit-identically (verdicts, solver-check counts — everything but
+    wall-clock time) instead of re-run, so a SIGKILLed campaign restarts
+    where it died.
     """
-    if workers is not None:
-        from repro.core.options import VerifyOptions
-        from repro.parallel import run_campaign_parallel
+    from repro.incremental.digest import engine_digest, zone_digest
+    from repro.parallel.counters import PerfCounters
+    from repro.parallel.pool import DIED, OK, run_units
+    from repro.parallel.worker import campaign_unit_worker
 
-        cache_dir = None
-        if cache is not None and not getattr(cache, "memory_only", False):
-            cache_dir = str(cache.cache_dir)
-        options = VerifyOptions(
-            budget_seconds=budget_seconds,
-            fuel=budget_fuel,
-            workers=workers,
-            faults=faults,
-            cache_dir=cache_dir,
-        )
-        return run_campaign_parallel(
-            version,
-            num_zones=num_zones,
-            seed=seed,
-            options=options,
-            checkpoint=checkpoint,
-            resume=resume,
-            **config_overrides,
-        )
-    config = GeneratorConfig(seed=seed, **config_overrides)
-    campaign = Campaign(generator_config=config, num_zones=num_zones)
-    return campaign.run(
-        version,
-        cache=cache,
-        budget_seconds=budget_seconds,
-        budget_fuel=budget_fuel,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    overrides = {"budget_seconds": budget_seconds, "fuel": budget_fuel,
+                 "workers": workers, "faults": faults}
+    if cache is not None and not getattr(cache, "memory_only", False):
+        overrides["cache_dir"] = str(cache.cache_dir)
+    options = (options or VerifyOptions()).with_(
+        **{k: v for k, v in overrides.items() if v is not None})
+    pool_size = options.workers or 1
+    if zones is None:
+        config = GeneratorConfig(seed=seed, **config_overrides)
+        zones = ZoneGenerator(config).stream(num_zones)
+    zones = list(zones)
+
+    report = CampaignReport(version)
+    started = time.perf_counter()
+    perf = PerfCounters(workers=pool_size, units_total=len(zones))
+    engine = engine_digest(version)
+    digests = [zone_digest(zone) for zone in zones]
+    unit_keys = [
+        {"index": index, "zone": digest, "engine": engine}
+        for index, digest in enumerate(digests)
+    ]
+    writer, completed = None, {}
+    if checkpoint is not None:
+        header = {"kind": "campaign", "version": version, "engine": engine,
+                  "smoke_first": options.smoke_first, "zones": digests}
+        writer, completed = CheckpointWriter.open(checkpoint, header,
+                                                  resume=resume)
+
+    verdicts: Dict[int, ZoneVerdict] = {}
+    pending: List[int] = []
+    for index, key in enumerate(unit_keys):
+        cached = completed.get(unit_address(key))
+        if cached is not None:
+            verdicts[index] = ZoneVerdict.from_json(cached)
+            perf.units_replayed += 1
+        else:
+            pending.append(index)
+
+    payloads = [
+        {
+            "index": index,
+            "zone_pickle": pickle.dumps(zones[index]),
+            "version": version,
+            "options": options.to_json(),
+        }
+        for index in pending
+    ]
+    for pos, status, value in run_units(
+        campaign_unit_worker, payloads, pool_size, _grace_seconds(options)
+    ):
+        index = pending[pos]
+        if status == DIED:
+            # The worker process vanished mid-unit; the unit itself is
+            # deterministic, so recomputing it in this process yields
+            # exactly what the lost worker would have returned.
+            value = campaign_unit_worker(payloads[pos])
+            perf.units_fallback += 1
+            status = OK
+        if status == OK:
+            verdict = ZoneVerdict.from_json(value["verdict"])
+            perf.absorb(value.get("perf"))
+        else:  # TIMEOUT
+            verdict = _timeout_verdict(index, zones[index])
+            perf.units_timed_out += 1
+        verdicts[index] = verdict
+        if writer is not None:
+            # Records land in completion order; the file is a map keyed
+            # by unit address, so replay order is irrelevant.
+            writer.append(unit_keys[index], verdict.to_json())
+
+    report.verdicts = [verdicts[index] for index in range(len(zones))]
+    report.elapsed_seconds = time.perf_counter() - started
+    report.perf = perf.finish().to_json()
+    return report

@@ -29,12 +29,13 @@ from typing import Dict, Optional
 class VerifyOptions:
     """Every plain-data knob of one verification run.
 
-    ``workers=None`` means "sequential, monolithic" — the historical code
-    path. Any integer (including 1) opts into the partitioned/pooled
-    executor, whose reports are bit-identical across worker counts; the
-    distinction exists because the partitioned merge labels layers
-    differently from a monolithic session, so ``workers=1`` must take the
-    same path as ``workers=8`` for determinism to hold.
+    For a verify, ``workers=None`` means "sequential, monolithic" — the
+    historical code path. Any integer (including 1) opts into the
+    partitioned/pooled executor, whose reports are bit-identical across
+    worker counts; the distinction exists because the partitioned merge
+    labels layers differently from a monolithic session, so ``workers=1``
+    must take the same path as ``workers=8`` for determinism to hold. A
+    campaign has one loop: ``None`` and 1 both run its units in-process.
     """
 
     #: Symbolic query depth; None derives it from the zone.
@@ -52,11 +53,12 @@ class VerifyOptions:
     #: Persistent cache directory (each worker opens its own handle on it;
     #: entry publication is atomic, so concurrent writers are safe).
     cache_dir: Optional[str] = None
-    #: None = sequential; N >= 1 = pooled executor with N processes.
+    #: None = in-process; N >= 1 = pooled executor with N processes.
     workers: Optional[int] = None
     #: Fault-plan spec string (see :func:`repro.resilience.faults.parse_spec`).
-    #: In parallel mode the spec is re-derived *per unit id* so injection
-    #: stays deterministic regardless of worker count or scheduling.
+    #: Pooled verifies and every campaign re-derive the spec *per unit id*
+    #: so injection stays deterministic regardless of worker count or
+    #: scheduling.
     faults: Optional[str] = None
     #: Campaigns: run the differential smoke test before each proof.
     smoke_first: bool = True

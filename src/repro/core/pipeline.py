@@ -722,11 +722,6 @@ def _summarise_response(resp) -> str:
     )
 
 
-#: Legacy kwargs-bag keys verify_engine still maps onto VerifyOptions.
-_LEGACY_OPTION_KWARGS = frozenset({"depth", "max_paths", "max_steps"})
-_legacy_kwargs_warned = False
-
-
 def verify_engine(
     zone: Zone,
     version: str = "verified",
@@ -735,7 +730,6 @@ def verify_engine(
     cache=None,
     budget: Optional[Budget] = None,
     solver: Optional[Solver] = None,
-    **legacy_kwargs,
 ) -> VerificationResult:
     """One-call convenience API: verify ``version`` on ``zone``.
 
@@ -745,32 +739,9 @@ def verify_engine(
     keyword arguments. When ``options.workers`` is set the run goes
     through the partitioned pooled executor (:mod:`repro.parallel`),
     whose merged result is deterministic across worker counts.
-
-    The pre-``VerifyOptions`` kwargs-bag (``depth=``/``max_paths=``/
-    ``max_steps=`` passed directly) still works but warns once per
-    process; pass ``options=VerifyOptions(...)`` instead.
     """
     from repro.core.options import VerifyOptions
 
-    global _legacy_kwargs_warned
-    if legacy_kwargs:
-        unknown = set(legacy_kwargs) - _LEGACY_OPTION_KWARGS
-        if unknown:
-            raise TypeError(
-                f"verify_engine() got unexpected keyword argument(s) "
-                f"{sorted(unknown)}; pass options=VerifyOptions(...)"
-            )
-        if not _legacy_kwargs_warned:
-            import warnings
-
-            warnings.warn(
-                "passing verification knobs as **kwargs is deprecated; "
-                "use verify_engine(zone, version, options=VerifyOptions(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _legacy_kwargs_warned = True
-        options = (options or VerifyOptions()).with_(**legacy_kwargs)
     if options is None:
         options = VerifyOptions()
     if cache is None:

@@ -49,7 +49,6 @@ changed. The observable set ("closure") of a partition is:
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -228,7 +227,7 @@ class Partition:
         ]
 
 
-def _zone_partitions_impl(zone: Zone) -> List[Partition]:
+def _zone_partitions(zone: Zone) -> List[Partition]:
     """Every partition of ``zone``'s query space, in deterministic order.
 
     The apex-wildcard label ``*`` does not get its own ``sub:`` partition:
@@ -243,7 +242,7 @@ def _zone_partitions_impl(zone: Zone) -> List[Partition]:
     return parts
 
 
-def _partition_of_name_impl(zone: Zone, name: DnsName) -> str:
+def _partition_of_name(zone: Zone, name: DnsName) -> str:
     """The key of the partition a concrete query name falls into."""
     if name == zone.origin:
         return APEX
@@ -273,7 +272,7 @@ def _chase_targets(records: Sequence[ResourceRecord], origin: DnsName) -> Set[Dn
     return targets
 
 
-def _partition_closure_impl(zone: Zone, key: str) -> Dict[str, object]:
+def _partition_closure(zone: Zone, key: str) -> Dict[str, object]:
     """Digest material for one partition: everything its queries observe.
 
     The returned dict is canonical-JSON digestable; two zones give the same
@@ -336,15 +335,15 @@ def _partition_closure_impl(zone: Zone, key: str) -> Dict[str, object]:
 
 
 def partition_digest(zone: Zone, key: str) -> str:
-    return digest_json(_partition_closure_impl(zone, key))
+    return digest_json(_partition_closure(zone, key))
 
 
-def _affected_partitions_impl(old: Zone, new: Zone) -> List[str]:
+def _affected_partitions(old: Zone, new: Zone) -> List[str]:
     """Partitions of ``new`` whose closure differs from ``old``'s (or which
     ``old`` did not have). These are the partitions a delta from ``old`` to
     ``new`` invalidates; all others replay."""
     affected: List[str] = []
-    for part in _zone_partitions_impl(new):
+    for part in _zone_partitions(new):
         if partition_digest(new, part.key) != partition_digest(old, part.key):
             affected.append(part.key)
     return affected
@@ -387,74 +386,16 @@ def delta_impact(old: Zone, new: Zone) -> DeltaImpact:
     Find's concern), so it is invalidated only when the shape changes;
     **Find** observes RRsets and is invalidated by any record change.
     """
-    affected = _affected_partitions_impl(old, new)
+    affected = _affected_partitions(old, new)
     layers: List[str] = []
     if _shape(old) != _shape(new):
         layers.append(TREE_SEARCH)
     if Counter(old.records) != Counter(new.records):
         layers.append(FIND)
     reusable = [
-        p.key for p in _zone_partitions_impl(new) if p.key not in affected
+        p.key for p in _zone_partitions(new) if p.key not in affected
     ]
     return DeltaImpact(tuple(affected), tuple(layers), tuple(reusable))
-
-
-# ---------------------------------------------------------------------------
-# Deprecated module-level helpers (PR 9): the planner API supersedes them
-# ---------------------------------------------------------------------------
-
-_partition_helpers_warned = False
-
-
-def _warn_partition_helper(name: str) -> None:
-    # One warning per process, like the verify_engine kwargs-bag migration:
-    # loud enough to steer new code, quiet enough not to flood callers
-    # that loop over partitions.
-    global _partition_helpers_warned
-    if _partition_helpers_warned:
-        return
-    _partition_helpers_warned = True
-    warnings.warn(
-        f"repro.incremental.delta.{name} is deprecated; use the planner "
-        "API instead (repro.incremental.planner.make_planner('by-label'), "
-        "or set VerifyOptions.planner)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def zone_partitions(zone: Zone) -> List[Partition]:
-    """Deprecated alias for :meth:`ByLabelPlanner.plan`."""
-    _warn_partition_helper("zone_partitions")
-    from repro.incremental.planner.by_label import ByLabelPlanner
-
-    return [Partition(unit.part_key) for unit in ByLabelPlanner().plan(zone)]
-
-
-def partition_of_name(zone: Zone, name: DnsName) -> str:
-    """Deprecated alias for :meth:`ByLabelPlanner.unit_of_name`."""
-    _warn_partition_helper("partition_of_name")
-    from repro.incremental.planner.by_label import ByLabelPlanner
-
-    return ByLabelPlanner().unit_of_name(zone, name)
-
-
-def partition_closure(zone: Zone, key: str) -> Dict[str, object]:
-    """Deprecated: closure material now backs
-    :meth:`ByLabelPlanner.unit_digest`; depend on the digest, not the
-    material."""
-    _warn_partition_helper("partition_closure")
-    return _partition_closure_impl(zone, key)
-
-
-def affected_partitions(old: Zone, new: Zone) -> List[str]:
-    """Deprecated alias for :meth:`ByLabelPlanner.affected`."""
-    _warn_partition_helper("affected_partitions")
-    from repro.incremental.planner.by_label import ByLabelPlanner
-
-    planner = ByLabelPlanner()
-    planner.plan(old)
-    return planner.affected(diff_zones(old, new))
 
 
 # ---------------------------------------------------------------------------

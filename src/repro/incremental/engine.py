@@ -2,8 +2,9 @@
 
 :class:`IncrementalVerifier` holds the current zone snapshot and a
 content-addressed cache of *partition verdicts*. A verification run splits
-the symbolic query space into the partitions of
-:func:`repro.incremental.delta.zone_partitions`, verifies each in a
+the symbolic query space into the units of its query planner (by default
+:meth:`ByLabelPlanner.plan <repro.incremental.planner.by_label.ByLabelPlanner.plan>`,
+one partition per apex child), verifies each in a
 restricted session (the partition's constraints are conjoined onto the
 global preconditions), and merges per-partition verdicts into one ordinary
 :class:`~repro.core.pipeline.VerificationResult`. Verdicts are cached; a

@@ -2,7 +2,8 @@
 
 This is the behaviour PRs 1–8 shipped, lifted verbatim behind the
 :class:`~repro.incremental.planner.protocol.QueryPlanner` protocol: the
-plan is exactly :func:`repro.incremental.delta.zone_partitions`, unit
+plan is exactly the :class:`~repro.incremental.delta.Partition` split
+(``apex``, ``outside``, ``miss``, one ``sub:<label>`` per apex child), unit
 digests are exactly :func:`repro.incremental.delta.partition_digest`, and
 a delta's affected set is exactly the digest diff the incremental engine
 has always replayed against. It stays the default planner and the
@@ -43,7 +44,7 @@ class ByLabelPlanner(QueryPlanner):
                 part_key=part.key,
                 members=(part.key,),
             )
-            for part in delta_mod._zone_partitions_impl(zone)
+            for part in delta_mod._zone_partitions(zone)
         ]
 
     def affected(self, delta) -> List[str]:
@@ -52,7 +53,7 @@ class ByLabelPlanner(QueryPlanner):
         if self._zone is None:
             raise ValueError("affected() requires a prior plan() call")
         new_zone = delta.apply(self._zone)
-        changed = delta_mod._affected_partitions_impl(self._zone, new_zone)
+        changed = delta_mod._affected_partitions(self._zone, new_zone)
         self._zone = new_zone
         return changed
 
@@ -71,4 +72,4 @@ class ByLabelPlanner(QueryPlanner):
     def unit_of_name(self, zone, name) -> Optional[str]:
         from repro.incremental import delta as delta_mod
 
-        return delta_mod._partition_of_name_impl(zone, name)
+        return delta_mod._partition_of_name(zone, name)

@@ -450,8 +450,8 @@ class ECPlanner(QueryPlanner):
             # The miss digest deliberately omits the set of existing tops:
             # adding or removing an unrelated subtree must NOT invalidate
             # the NXDOMAIN/wildcard-synthesis verdict. That omission is the
-            # planner's biggest single win over partition_closure, whose
-            # miss closure enumerates every top label.
+            # planner's biggest single win over the by-label partition
+            # closure, whose miss closure enumerates every top label.
             PlanUnit(
                 id="ec:miss",
                 kind=KIND_MISS,

@@ -4,7 +4,8 @@ Nodes are the below-apex top labels (the children of the apex, i.e. the
 roots of the subtree slices the delta machinery already invalidates at);
 edges are the rdata-embedded dependencies between them — CNAME/DNAME/ALIAS
 chase targets and NS/MX/SRV additional-section glue, the same rules
-:func:`repro.incremental.delta.partition_closure` chases. The graph keeps,
+the by-label planner's partition closures chase
+(:func:`repro.incremental.delta.partition_digest`). The graph keeps,
 per top:
 
 - the subtree slice (records) and its content digest;

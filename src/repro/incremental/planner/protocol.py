@@ -1,8 +1,8 @@
 """The query-planning protocol: how a verification run splits the query space.
 
 Since PR 1 the query space of one verification run has been partitioned by
-the first below-apex label (:func:`repro.incremental.delta.zone_partitions`),
-which produces one verification unit per apex child — linear in zone size.
+the first below-apex label (the :class:`~repro.incremental.delta.Partition`
+keys ``apex``/``outside``/``miss``/``sub:<label>``), which produces one verification unit per apex child — linear in zone size.
 This module promotes that choice to a first-class, pluggable abstraction:
 
 - a :class:`QueryPlanner` turns a zone into an ordered list of

@@ -2,13 +2,13 @@
 
 Fans campaign units (zone × engine version) and, within one verify, the
 query-space partitions across worker processes; merges typed verdicts
-deterministically so the canonical report of a pooled run is
-bit-identical to the sequential one's for any worker count. See
+deterministically so the canonical report is bit-identical for any
+worker count, including the in-process run. See
 ``docs/api.md`` for the execution model.
 """
 
 from repro.parallel.counters import PerfCounters, perf_phases, unit_perf
-from repro.parallel.executor import run_campaign_parallel, verify_partitioned
+from repro.parallel.executor import verify_partitioned
 from repro.parallel.pool import DIED, OK, TIMEOUT, run_units
 from repro.parallel.worker import campaign_unit_worker, partition_worker
 
@@ -16,7 +16,6 @@ __all__ = [
     "PerfCounters",
     "perf_phases",
     "unit_perf",
-    "run_campaign_parallel",
     "verify_partitioned",
     "run_units",
     "campaign_unit_worker",

@@ -7,7 +7,7 @@ payload's stable index); this module is responsible for the three ways a
 pool can go wrong:
 
 - a **worker exception** that is a real bug propagates to the parent
-  (exactly what the sequential loop would do);
+  (exactly what an in-process run does);
 - a **worker process death** (OOM kill, segfault) breaks the pool;
   every unit still in flight is yielded with status ``"died"`` so the
   caller can recompute it in-process — one lost worker never loses the

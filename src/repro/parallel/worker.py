@@ -3,7 +3,7 @@
 Both workers take one JSON/pickle-safe payload dict and return a
 JSON-safe dict — the contract :func:`repro.parallel.pool.run_units`
 needs for any start method. They are deliberately thin: each one
-reconstructs its inputs, delegates to the *same* code the sequential
+reconstructs its inputs, delegates to the *same* code the in-process
 paths run (:func:`repro.core.campaign.run_unit` for campaign units, a
 restricted :class:`~repro.core.pipeline.VerificationSession` for
 query-space partitions), and serializes the outcome. Determinism across
@@ -42,8 +42,8 @@ def campaign_unit_worker(payload: Dict) -> Dict:
     ``version``, ``options`` (:meth:`VerifyOptions.to_json`).
 
     The unsoundness cross-check (differential refutes, proof passes)
-    raises here exactly as it does sequentially; the pool propagates it
-    to the parent, which aborts the campaign.
+    raises here; the pool propagates it to the parent, which aborts the
+    campaign.
     """
     from repro.core.campaign import run_unit
     from repro.parallel.counters import unit_perf

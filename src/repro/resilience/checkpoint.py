@@ -3,24 +3,24 @@
 A checkpoint is an append-only JSON-lines file: one header line pinning
 what the campaign is (engine digest, zone digests, knobs — the same
 digest-pinning discipline as the incremental cache keys), then one line
-per completed (version, layer, partition)-style unit. Publication is
-atomic — the whole file is rewritten to a temp file and ``os.replace``\\ d
-on every append — so a reader (or a resumed run) never observes a
-half-written line even if the writer is SIGKILLed mid-record.
+per completed unit. The header is published atomically when the file is
+created; each unit is then one fsync'd :func:`repro.resilience.jsonl.append`,
+so a SIGKILL mid-record can tear at most the last line.
 
 ``load`` is deliberately tolerant: lines that fail to decode (a torn
-write from a pre-atomic format, manual edits) are skipped and counted, so
-a damaged checkpoint degrades to re-running the damaged units rather than
-refusing to resume.
+final append, manual edits) are skipped and counted, so a damaged
+checkpoint degrades to re-running the damaged units rather than refusing
+to resume. Resuming compacts the file — header plus surviving units,
+rewritten atomically — which drops the damaged lines for good.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from repro.resilience import jsonl
 
 #: Bump when the line layout changes; mismatched files refuse to resume.
 CHECKPOINT_FORMAT = 1
@@ -30,13 +30,9 @@ class CheckpointError(RuntimeError):
     """The checkpoint exists but describes a different campaign."""
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def unit_address(unit_key: Dict) -> str:
     """Canonical string identity of a unit key (dict-safe map key)."""
-    return _canonical(unit_key)
+    return jsonl.encode(unit_key)
 
 
 def load(path) -> Tuple[Optional[Dict], Dict[str, Dict], int]:
@@ -44,26 +40,11 @@ def load(path) -> Tuple[Optional[Dict], Dict[str, Dict], int]:
 
     A missing file is an empty checkpoint, not an error.
     """
-    path = Path(path)
+    records, corrupt = jsonl.read(path)
     header: Optional[Dict] = None
     units: Dict[str, Dict] = {}
-    corrupt = 0
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except FileNotFoundError:
-        return None, {}, 0
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            corrupt += 1
-            continue
-        if not isinstance(record, dict):
-            corrupt += 1
-        elif "header" in record:
+    for record in records:
+        if "header" in record:
             header = record["header"]
         elif "unit" in record and "payload" in record:
             units[unit_address(record["unit"])] = record["payload"]
@@ -73,15 +54,16 @@ def load(path) -> Tuple[Optional[Dict], Dict[str, Dict], int]:
 
 
 class CheckpointWriter:
-    """Append units to a checkpoint with atomic whole-file publication."""
+    """Append units to a checkpoint, one fsync'd line each."""
 
-    def __init__(self, path, header: Dict, _lines: Optional[List[str]] = None):
+    def __init__(self, path, header: Dict,
+                 _units: Optional[Dict[str, Dict]] = None):
         self.path = Path(path)
         self.header = dict(header, format=CHECKPOINT_FORMAT)
-        self._lines = list(_lines) if _lines else []
-        if not self._lines:
-            self._lines.append(_canonical({"header": self.header}))
-            self._publish()
+        records = [{"header": self.header}]
+        for address, payload in (_units or {}).items():
+            records.append({"unit": json.loads(address), "payload": payload})
+        jsonl.write_atomic(self.path, records)
 
     @classmethod
     def open(cls, path, header: Dict,
@@ -93,39 +75,17 @@ class CheckpointWriter:
         header disagrees (different campaign) raises
         :class:`CheckpointError` instead of silently mixing runs.
         """
-        full_header = dict(header, format=CHECKPOINT_FORMAT)
         if not resume:
             return cls(path, header), {}
         existing_header, units, _corrupt = load(path)
         if existing_header is None:
             return cls(path, header), {}
-        if existing_header != full_header:
+        if existing_header != dict(header, format=CHECKPOINT_FORMAT):
             raise CheckpointError(
                 f"checkpoint {path} was written by a different campaign "
                 f"(header mismatch); delete it or drop --resume"
             )
-        lines = [_canonical({"header": full_header})]
-        for address, payload in units.items():
-            lines.append(
-                _canonical({"unit": json.loads(address), "payload": payload})
-            )
-        writer = cls(path, header, _lines=lines)
-        writer._publish()  # re-publish drops any corrupt trailing lines
-        return writer, units
+        return cls(path, header, _units=units), units
 
     def append(self, unit_key: Dict, payload: Dict) -> None:
-        self._lines.append(_canonical({"unit": unit_key, "payload": payload}))
-        self._publish()
-
-    def _publish(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".ckpt.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(self._lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        jsonl.append(self.path, {"unit": unit_key, "payload": payload})

@@ -3,11 +3,12 @@
 The publish gate's correctness story — *only VERIFIED zones serve* — has
 to survive the process dying at any instruction. The journal makes the
 publish sequence durable: **before** each snapshot swap the gate appends
-one JSON line (sequence, zone digest, verdict, source) and fsyncs it;
-only then does the swap happen. On boot :meth:`PublishJournal.head`
-replays the file — tolerating a torn final line, which is exactly what a
-crash mid-append leaves behind — and the server compares the journal
-head against the zone it is about to serve:
+one JSON line (sequence, zone digest, verdict, source) and fsyncs it
+(:func:`repro.resilience.jsonl.append`); only then does the swap
+happen. On boot :meth:`PublishJournal.head` replays the file —
+tolerating a torn final line, which is exactly what a crash mid-append
+leaves behind — and the server compares the journal head against the
+zone it is about to serve:
 
 - **digests agree** — the on-disk zone is the last VERIFIED publish; the
   server adopts the journaled sequence number and serves immediately.
@@ -26,12 +27,11 @@ VERIFIED first.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.resilience import faults
+from repro.resilience import faults, jsonl
 
 #: Journal format version, first field of every record.
 JOURNAL_FORMAT = 1
@@ -87,16 +87,6 @@ class PublishJournal:
 
     # -- writing -------------------------------------------------------------
 
-    def _tail_is_torn(self) -> bool:
-        """True when the file ends mid-line — the signature of a crash
-        (or injected fault) between a partial write and its newline."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except OSError:  # missing or empty file: nothing to seal
-            return False
-
     def append(self, record: JournalRecord) -> None:
         """Durably append one record; raises :class:`JournalError` if the
         record cannot be made durable (the caller must then *hold* the
@@ -105,29 +95,11 @@ class PublishJournal:
         The ``serve.journal.write`` fault site simulates the worst crash
         shape: half the record reaches the disk, then the write dies —
         which is also what SIGKILL mid-append leaves. Replay must shrug
-        off that torn tail.
+        off that torn tail, and the next append seals it.
         """
-        line = json.dumps(record.to_json(), sort_keys=True)
         try:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                if self._tail_is_torn():
-                    # Seal a torn tail (prior crash mid-append) onto its
-                    # own line, or this record would be glued to the
-                    # garbage and lost with it on replay.
-                    handle.write("\n")
-                if faults.should_fire(faults.SITE_SERVE_JOURNAL_WRITE):
-                    # Simulated torn write: half a line, no newline, and
-                    # the OSError the real failure would raise.
-                    handle.write(line[: max(1, len(line) // 2)])
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                    raise OSError(
-                        f"injected fault at site "
-                        f"{faults.SITE_SERVE_JOURNAL_WRITE!r}"
-                    )
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            jsonl.append(self.path, record.to_json(),
+                         fault_site=faults.SITE_SERVE_JOURNAL_WRITE)
         except OSError as exc:
             self.append_failures += 1
             raise JournalError(f"journal append failed: {exc}") from exc
@@ -139,19 +111,10 @@ class PublishJournal:
         """All decodable records in append order. Undecodable lines (a
         torn final append, bit rot) are skipped and counted — recovery
         proceeds from the last *good* record, never aborts."""
+        payloads, skipped = jsonl.read(self.path)
         records: List[JournalRecord] = []
-        skipped = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for payload in payloads:
             try:
-                payload = json.loads(line)
                 records.append(JournalRecord.from_json(payload))
             except (ValueError, KeyError, TypeError):
                 skipped += 1

@@ -60,13 +60,15 @@ class FaultDrillReport:
 
 
 def _drill_compile(version: str) -> SiteOutcome:
-    from repro.core.campaign import Campaign
+    from repro.core.campaign import run_campaign
+    from repro.core.options import VerifyOptions
     from repro.zonegen import corpus
 
     plan = faults.FaultPlan.scripted({faults.SITE_COMPILE: 1})
     with faults.active(plan):
-        report = Campaign(zones=[corpus.minimal_zone()]).run(
-            version, smoke_first=False
+        report = run_campaign(
+            version, zones=[corpus.minimal_zone()],
+            options=VerifyOptions(smoke_first=False),
         )
     unit = report.verdicts[0]
     return SiteOutcome(

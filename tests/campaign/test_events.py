@@ -20,7 +20,6 @@ class TestEventLog:
         log = EventLog(path, clock=lambda: 1.0)
         log.emit(EV_START, seed=7)
         log.emit(EV_SCHEDULED, uid=0, unit_kind="generated")
-        log.close()
         events = read_events(path)
         assert [e["kind"] for e in events] == [EV_START, EV_SCHEDULED]
         assert events[0]["seed"] == 7
@@ -31,22 +30,26 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         first = EventLog(path, clock=lambda: 1.0)
         first.emit(EV_START)
-        first.close()
         second = EventLog(path, clock=lambda: 2.0)
         second.emit(EV_START)
-        second.close()
         assert len(read_events(path)) == 2
 
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path, clock=lambda: 1.0)
         log.emit(EV_SCHEDULED, uid=0)
-        log.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "comple')  # SIGKILL mid-write
         events = read_events(path)
         assert len(events) == 1
         assert events[0]["kind"] == EV_SCHEDULED
+        # The restarted service's first event must not be glued onto the
+        # torn tail (and lost with it).
+        restarted = EventLog(path, clock=lambda: 2.0)
+        restarted.emit(EV_START)
+        restarted.emit(EV_SCHEDULED, uid=1)
+        kinds = [e["kind"] for e in read_events(path)]
+        assert kinds == [EV_SCHEDULED, EV_START, EV_SCHEDULED]
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_events(tmp_path / "absent.jsonl") == []
@@ -55,7 +58,6 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         log = EventLog(path, clock=lambda: 1.0)
         log.emit(EV_START, nested={"a": [1, 2]})
-        log.close()
         for line in path.read_text().splitlines():
             json.loads(line)
 

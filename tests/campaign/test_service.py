@@ -33,6 +33,17 @@ def service_for(tmp_path, **config_kwargs):
     return CampaignService(config, options=OPTIONS)
 
 
+class TestLedger:
+    def test_torn_final_row_skipped(self, tmp_path):
+        # SIGKILL mid-append leaves half a row; the reader must skip it
+        # rather than raise, like every other JSONL reader.
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"header":{"format":1}}\n'
+                        '{"uid":0,"verdict":"VERIFIED"}\n'
+                        '{"uid":1,"verd')
+        assert read_ledger(path) == [{"uid": 0, "verdict": "VERIFIED"}]
+
+
 class TestBoundedRun:
     def test_units_bounded_run(self, tmp_path):
         service = service_for(tmp_path, units=2)

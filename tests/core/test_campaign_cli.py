@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import Campaign, run_campaign
+from repro.core import run_campaign
 from repro.zonegen import GeneratorConfig, ZoneGenerator, minimal_zone
 
 
@@ -32,15 +32,14 @@ class TestCampaign:
         assert histogram
 
     def test_explicit_zone_list(self):
-        campaign = Campaign(zones=[minimal_zone()])
-        report = campaign.run("verified")
+        report = run_campaign("verified", zones=[minimal_zone()])
         assert report.zones_run == 1 and report.zones_verified == 1
 
     def test_smoke_cross_check_consistency(self):
-        # smoke_first raises if the differential refutes a zone the prover
-        # accepts; running it at all is the assertion.
-        campaign = Campaign(zones=[minimal_zone()])
-        report = campaign.run("v1.0", smoke_first=True)
+        # smoke_first (the VerifyOptions default) raises if the
+        # differential refutes a zone the prover accepts; running it at
+        # all is the assertion.
+        report = run_campaign("v1.0", zones=[minimal_zone()])
         assert report.zones_run == 1
 
 

@@ -14,13 +14,11 @@ from repro.dns.zonefile import parse_zone_text
 from repro.incremental.delta import (
     RecordChange,
     ZoneDelta,
-    affected_partitions,
     delta_impact,
     diff_zones,
-    partition_of_name,
     random_delta,
-    zone_partitions,
 )
+from repro.incremental.planner import ByLabelPlanner
 
 ZONE_TEXT = """\
 $ORIGIN shop.example.
@@ -42,6 +40,20 @@ def zone():
 
 def name(text):
     return DnsName(tuple(text.rstrip(".").split(".")))
+
+
+def unit_keys(zone):
+    return [unit.part_key for unit in ByLabelPlanner().plan(zone)]
+
+
+def unit_of_name(zone, qname):
+    return ByLabelPlanner().unit_of_name(zone, qname)
+
+
+def affected(old, new):
+    planner = ByLabelPlanner()
+    planner.plan(old)
+    return planner.affected(diff_zones(old, new))
 
 
 def add(rname, rtype=RRType.A, rdata=None):
@@ -96,21 +108,21 @@ class TestZoneDelta:
 
 class TestPartitions:
     def test_partition_keys(self, zone):
-        keys = [p.key for p in zone_partitions(zone)]
+        keys = unit_keys(zone)
         assert keys == [
             "apex", "outside", "miss", "sub:ns1", "sub:sub", "sub:tenants", "sub:www",
         ]
 
     def test_wildcard_label_has_no_sub_partition(self, zone):
-        assert "sub:*" not in [p.key for p in zone_partitions(zone)]
+        assert "sub:*" not in unit_keys(zone)
 
     def test_partition_of_name(self, zone):
-        assert partition_of_name(zone, zone.origin) == "apex"
-        assert partition_of_name(zone, name("www.shop.example")) == "sub:www"
-        assert partition_of_name(zone, name("deep.www.shop.example")) == "sub:www"
-        assert partition_of_name(zone, name("nope.shop.example")) == "miss"
-        assert partition_of_name(zone, name("a.tenants.shop.example")) == "sub:tenants"
-        assert partition_of_name(zone, name("other.example")) == "outside"
+        assert unit_of_name(zone, zone.origin) == "apex"
+        assert unit_of_name(zone, name("www.shop.example")) == "sub:www"
+        assert unit_of_name(zone, name("deep.www.shop.example")) == "sub:www"
+        assert unit_of_name(zone, name("nope.shop.example")) == "miss"
+        assert unit_of_name(zone, name("a.tenants.shop.example")) == "sub:tenants"
+        assert unit_of_name(zone, name("other.example")) == "outside"
 
 
 class TestInvalidation:
@@ -118,7 +130,7 @@ class TestInvalidation:
 
     def test_plain_update_invalidates_only_its_subtree(self, zone):
         new = ZoneDelta(zone.origin, (add(name("extra.www.shop.example")),)).apply(zone)
-        assert affected_partitions(zone, new) == ["sub:www"]
+        assert affected(zone, new) == ["sub:www"]
 
     def test_delete_under_wildcard_invalidates_wildcard_subtree(self, zone):
         # *.tenants covers the whole tenants slice: deleting the wildcard
@@ -128,42 +140,41 @@ class TestInvalidation:
         ).apply(zone)
         wc = next(r for r in base.records if "*" in r.rname.labels)
         new = ZoneDelta(base.origin, (RecordChange("delete", wc),)).apply(base)
-        assert affected_partitions(base, new) == ["sub:tenants"]
+        assert affected(base, new) == ["sub:tenants"]
 
     def test_delete_last_record_of_subtree_moves_space_to_miss(self, zone):
         # Deleting the only record under a top label removes the partition
         # itself; its query space falls back into the NXDOMAIN partition.
         wc = next(r for r in zone.records if "*" in r.rname.labels)
         new = ZoneDelta(zone.origin, (RecordChange("delete", wc),)).apply(zone)
-        assert affected_partitions(zone, new) == ["miss"]
-        assert "sub:tenants" not in [p.key for p in zone_partitions(new)]
+        assert affected(zone, new) == ["miss"]
+        assert "sub:tenants" not in unit_keys(new)
 
     def test_delete_under_delegation_invalidates_delegated_subtree(self, zone):
         # Removing the cut's NS record changes referral behaviour for the
         # whole delegated subtree, not just the cut node.
         ns = next(r for r in zone.records if r.rname == name("sub.shop.example"))
         new = ZoneDelta(zone.origin, (RecordChange("delete", ns),)).apply(zone)
-        assert affected_partitions(zone, new) == ["sub:sub"]
+        assert affected(zone, new) == ["sub:sub"]
 
     def test_apex_change_invalidates_everything(self, zone):
         new = ZoneDelta(
             zone.origin, (add(zone.origin, RRType.TXT, TXTRdata("hello")),)
         ).apply(zone)
-        affected = set(affected_partitions(zone, new))
-        assert affected == {p.key for p in zone_partitions(zone)}
+        assert set(affected(zone, new)) == set(unit_keys(zone))
 
     def test_new_top_label_invalidates_miss_space(self, zone):
         new = ZoneDelta(zone.origin, (add(name("fresh.shop.example")),)).apply(zone)
-        affected = affected_partitions(zone, new)
+        changed = affected(zone, new)
         # The new child gets its own partition and the NXDOMAIN boundary moves.
-        assert "sub:fresh" in affected and "miss" in affected
+        assert "sub:fresh" in changed and "miss" in changed
 
     def test_rdata_chase_invalidates_dependents(self, zone):
         # Apex NS targets ns1: a change in ns1's subtree invalidates every
         # partition whose closure chases the apex NS glue.
         new = ZoneDelta(zone.origin, (add(name("x.ns1.shop.example")),)).apply(zone)
-        affected = affected_partitions(zone, new)
-        assert "sub:ns1" in affected and "apex" in affected
+        changed = affected(zone, new)
+        assert "sub:ns1" in changed and "apex" in changed
 
     def test_cname_target_chase(self):
         zone = parse_zone_text(
@@ -182,7 +193,7 @@ target IN A 192.0.2.2
             zone.origin,
             (RecordChange("delete", rec), RecordChange("add", replacement)),
         ).apply(zone)
-        assert "sub:alias" in affected_partitions(zone, new)
+        assert "sub:alias" in affected(zone, new)
 
     def test_chase_pins_absent_targets(self):
         # alias points at a nonexistent subtree; *adding* the target later
@@ -198,7 +209,7 @@ alias IN CNAME missing.z.example.
 """
         )
         new = ZoneDelta(base.origin, (add(name("missing.z.example")),)).apply(base)
-        assert "sub:alias" in affected_partitions(base, new)
+        assert "sub:alias" in affected(base, new)
 
     def test_delta_impact_layers(self, zone):
         # Pure rdata churn keeps the tree shape: TreeSearch survives.
@@ -216,13 +227,11 @@ alias IN CNAME missing.z.example.
         assert delta_impact(zone, new2).affected_layers == ("TreeSearch", "Find")
 
     def test_no_change_no_invalidation(self, zone):
-        assert affected_partitions(zone, zone) == []
+        assert affected(zone, zone) == []
         impact = delta_impact(zone, zone)
         assert impact.affected_partitions == ()
         assert impact.affected_layers == ()
-        assert set(impact.reusable_partitions) == {
-            p.key for p in zone_partitions(zone)
-        }
+        assert set(impact.reusable_partitions) == set(unit_keys(zone))
 
 
 class TestDeltaAlgebra:
@@ -257,7 +266,7 @@ class TestDeltaAlgebra:
         # Every changed owner maps into an affected partition.
         impact = delta_impact(base, new)
         for change in delta:
-            key = partition_of_name(new, change.record.rname)
+            key = unit_of_name(new, change.record.rname)
             assert key in impact.affected_partitions
 
     @given(st.integers(min_value=0, max_value=10_000))

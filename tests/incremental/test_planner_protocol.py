@@ -8,14 +8,11 @@ The contract under test (see ``repro.incremental.planner.protocol``):
 - ``affected`` returns at least every unit whose digest changed under a
   delta (no stale cached verdict can survive);
 - ``unit_digest`` is stable on unchanged zones and sensitive to content;
-- the deprecated module-level helpers still work, warn exactly once per
-  process, and agree with ``ByLabelPlanner``;
 - the planner choice threads through ``VerifyOptions`` (field, JSON wire
   format, ``from_args``) and the CLI's shared ``--planner`` flag.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -23,7 +20,6 @@ from repro.core.encoding import QueryEncoding
 from repro.core.options import VerifyOptions
 from repro.dns.name import DnsName
 from repro.engine.encoding import ZoneEncoder
-from repro.incremental import delta as delta_mod
 from repro.incremental.delta import Partition, diff_zones, random_delta
 from repro.incremental.planner.by_label import ByLabelPlanner
 from repro.incremental.planner.ec import ECPlanner
@@ -221,29 +217,6 @@ def test_label_graph_retarget_rewires_environment():
     dirty, _ = graph.advance(delta)
     assert "a" in dirty
     assert graph.env_of("a") == frozenset({"mail"})
-
-
-# ---------------------------------------------------------------------------
-# deprecated module-level helpers
-
-
-def test_partition_helpers_warn_once_and_delegate():
-    zone = _zone()
-    delta_mod._partition_helpers_warned = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parts = delta_mod.zone_partitions(zone)
-        delta_mod.partition_of_name(zone, zone.origin)
-        delta_mod.partition_closure(zone, "apex")
-        delta_mod.affected_partitions(zone, zone)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1  # one warning per process, not per call
-    assert [p.key for p in parts] == [
-        u.part_key for u in ByLabelPlanner().plan(zone)
-    ]
-    assert delta_mod.partition_of_name(zone, zone.origin) == "apex"
-    assert delta_mod.affected_partitions(zone, zone) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Determinism contract: a pooled campaign's canonical report is
-bit-identical to the sequential one's — across worker counts, under
-injected faults, and through SIGKILL-and-resume."""
+"""Determinism contract: a campaign's canonical report is bit-identical
+across worker counts (None = in-process), under injected faults, and
+through SIGKILL-and-resume."""
 
 import os
 import subprocess
@@ -50,11 +50,15 @@ class TestWorkerCountIdentity:
     def test_injected_worker_faults_identical_across_workers(self):
         # A seeded per-unit plan: each unit derives its plan from
         # (spec, unit id), so worker count cannot change what fires.
+        # workers=None (in-process) must honour the spec the same way.
         spec = "seed:7:0.7"
+        default = run_campaign("verified", num_zones=3, seed=11,
+                               faults=spec, **TINY)
         one = run_campaign("verified", num_zones=3, seed=11, workers=1,
                            faults=spec, **TINY)
         two = run_campaign("verified", num_zones=3, seed=11, workers=2,
                            faults=spec, **TINY)
+        assert default.canonical_json() == one.canonical_json()
         assert one.canonical_json() == two.canonical_json()
 
     def test_scripted_fault_degrades_unit_to_typed_error(self):
@@ -141,3 +145,4 @@ class TestResume:
         assert resumed.canonical_json() == fresh.canonical_json()
         _, final_units, _ = load(ckpt)
         assert len(final_units) == 4
+        assert all("verdict" in payload for payload in final_units.values())

@@ -1,25 +1,18 @@
-"""Crash-safe checkpoints: atomic appends, tolerant loads, bit-identical resume."""
+"""Crash-safe checkpoints: durable appends, tolerant loads, bit-identical
+resume. The SIGKILL-then-resume subprocess test lives with the worker-count
+identity tests in ``tests/parallel/test_campaign_parallel.py``."""
 
-import json
 import os
-import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
-import repro
 from repro.core import run_campaign
-from repro.core.campaign import Campaign
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointWriter,
     load,
     unit_address,
 )
-
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestCheckpointFile:
@@ -33,6 +26,19 @@ class TestCheckpointFile:
         assert corrupt == 0
         assert units[unit_address({"index": 0})] == {"verdict": "VERIFIED"}
         assert units[unit_address({"index": 1})] == {"verdict": "BUG"}
+
+    def test_append_keeps_earlier_bytes_and_inode(self, tmp_path):
+        # An append adds one line in place; it never republishes the file.
+        path = tmp_path / "run.jsonl"
+        writer = CheckpointWriter(path, {"id": "x"})
+        writer.append({"index": 0}, {"verdict": "VERIFIED"})
+        before = path.read_bytes()
+        inode = os.stat(path).st_ino
+        writer.append({"index": 1}, {"verdict": "BUG"})
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert after.count(b"\n") == before.count(b"\n") + 1
+        assert os.stat(path).st_ino == inode
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load(tmp_path / "absent.jsonl") == (None, {}, 0)
@@ -91,85 +97,8 @@ class TestCampaignResume:
     def test_resume_skips_completed_units(self, tmp_path):
         ckpt = tmp_path / "campaign.jsonl"
         run_campaign("verified", num_zones=2, seed=11, checkpoint=str(ckpt))
-
-        calls = []
-        original = Campaign._run_unit
-
-        def counting(self, index, *args, **kwargs):
-            calls.append(index)
-            return original(self, index, *args, **kwargs)
-
-        Campaign._run_unit = counting
-        try:
-            run_campaign("verified", num_zones=2, seed=11,
-                         checkpoint=str(ckpt), resume=True)
-        finally:
-            Campaign._run_unit = original
-        assert calls == []  # everything replayed from the checkpoint
-
-    def test_sigkill_then_resume_is_bit_identical(self, tmp_path):
-        """The acceptance scenario: SIGKILL a running campaign mid-unit,
-        resume from its checkpoint, and compare against an uninterrupted
-        run under the canonical (timing-free) projection."""
-        ckpt = tmp_path / "killed.jsonl"
-        script = (
-            "import sys\n"
-            "from repro.core import run_campaign\n"
-            "run_campaign('verified', num_zones=4, seed=11, "
-            "checkpoint=sys.argv[1])\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(ckpt)],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        # Kill as soon as at least one unit has been checkpointed but
-        # (almost certainly) before the campaign finishes.
-        deadline = time.monotonic() + 120
-        units_at_kill = 0
-        while time.monotonic() < deadline:
-            if proc.poll() is not None:
-                # Raced to completion before we could kill it: the resume
-                # below then degenerates to a full replay, still valid.
-                if ckpt.exists():
-                    lines = [
-                        line
-                        for line in ckpt.read_text().splitlines()
-                        if line.strip()
-                    ]
-                    units_at_kill = max(0, len(lines) - 1)
-                break
-            if ckpt.exists():
-                lines = [
-                    line
-                    for line in ckpt.read_text().splitlines()
-                    if line.strip()
-                ]
-                if len(lines) >= 2:  # header + >= 1 unit
-                    units_at_kill = len(lines) - 1
-                    proc.kill()
-                    proc.wait()
-                    break
-            time.sleep(0.01)
-        else:
-            proc.kill()
-            proc.wait()
-            pytest.fail("campaign subprocess never checkpointed a unit")
-        assert units_at_kill >= 1
-
-        # Whatever survived the kill must be a loadable checkpoint.
-        header, units, _corrupt = load(ckpt)
-        assert header is not None
-        assert len(units) >= 1
-
-        resumed = run_campaign("verified", num_zones=4, seed=11,
+        resumed = run_campaign("verified", num_zones=2, seed=11,
                                checkpoint=str(ckpt), resume=True)
-        fresh = run_campaign("verified", num_zones=4, seed=11)
-        assert resumed.canonical_json() == fresh.canonical_json()
-        # The final checkpoint holds all four units.
-        _, final_units, _ = load(ckpt)
-        assert len(final_units) == 4
-        payloads = [json.loads(json.dumps(p)) for p in final_units.values()]
-        assert all("verdict" in p for p in payloads)
+        # Everything replayed from the checkpoint; no unit re-ran.
+        assert resumed.perf["units_replayed"] == 2
+        assert resumed.perf["units_completed"] == 0
