@@ -11,8 +11,9 @@ Conservation invariant (asserted by the soak tests): at any prefix of
 the stream, ``scheduled == completed + requeued + in_flight`` where
 ``in_flight`` is derived. Every scheduling *attempt* emits ``scheduled``;
 every attempt ends in exactly one of ``completed`` (a verdict, including
-replays from the checkpoint) or ``requeued`` (the attempt was abandoned —
-pool stall — and a new ``scheduled`` attempt follows). A drained campaign
+replays from the checkpoint and stalled units typed UNKNOWN) or
+``requeued`` (a failed batch abandoned the attempt, and a new
+``scheduled`` attempt follows). A drained campaign
 ends with ``in_flight == 0``.
 """
 

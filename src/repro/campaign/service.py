@@ -8,12 +8,13 @@ cooperating parts:
   adversarial generation, delta mutations of prior zones, and replay of
   the persistent regression corpus into zone-tasks, each fanned into one
   unit per engine version;
-- an **execution loop** runs batches of units through the
-  :mod:`repro.parallel` pool (or in-process when ``workers`` is unset):
-  generated/regression units through the same
-  :func:`~repro.core.campaign.run_unit` path one-shot campaigns use,
+- an **execution loop** runs each batch through the checkpointed unit
+  loop one-shot campaigns use (:func:`~repro.core.campaign.run_unit_loop`
+  over :func:`~repro.core.campaign.run_unit`, pooled or in-process when
+  ``workers`` is unset): generated/regression units from scratch,
   mutation units through :meth:`IncrementalVerifier.diff_to` — each
-  under its own cooperative budget and per-unit fault plan;
+  under its own cooperative budget and per-unit fault plan, a stalled
+  worker's unit typed ``UNKNOWN(wall-clock-deadline)``;
 - a **regression store** (:mod:`repro.campaign.store`) captures every
   BUG/divergence-producing zone as a minimized corpus entry and ingests
   serve-plane self-check divergences;
@@ -22,10 +23,11 @@ cooperating parts:
   ``repro.serve`` status-channel pattern), and a canonical *verdict
   ledger*.
 
-Crash safety: every completed unit is appended to a PR-2 crash-safe
-checkpoint before the loop moves on; ``--resume`` replays completed
-units bit-identically and re-derives the schedule deterministically, so
-a SIGKILLed campaign's final ledger equals an uninterrupted run's.
+Crash safety: the unit loop appends every completed unit to a
+crash-safe checkpoint before the service sees it; ``--resume`` replays
+completed units bit-identically and re-derives the schedule
+deterministically, so a SIGKILLed campaign's final ledger equals an
+uninterrupted run's.
 SIGTERM/SIGINT request a graceful drain (finish the in-flight batch,
 checkpoint, exit 0). Scheduler/executor failures go through the
 watch-daemon supervision pattern: exponential backoff with jitter, then
@@ -38,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
 import socket
 import threading
 import time
@@ -61,12 +62,11 @@ from repro.campaign.events import (
 )
 from repro.campaign.scheduler import KINDS, CorpusScheduler, WorkUnit
 from repro.campaign.store import RegressionStore
+from repro.core.campaign import CampaignUnit, run_unit_loop
 from repro.incremental.digest import engine_digest, zone_digest
 from repro.parallel.counters import PerfCounters
-from repro.parallel.pool import DIED, OK, TIMEOUT, run_units
-from repro.parallel.worker import campaign_service_worker
 from repro.resilience import jsonl, verdicts as verdicts_mod
-from repro.resilience.checkpoint import CheckpointWriter, unit_address
+from repro.resilience.checkpoint import CheckpointWriter
 from repro.resilience.supervise import CircuitBreaker, RetryPolicy
 
 #: Ledger format version (first line of the ledger file).
@@ -478,22 +478,6 @@ class CampaignService:
 
     # -- batch execution -----------------------------------------------------
 
-    def _payload(self, unit: WorkUnit) -> Dict:
-        payload = {
-            "index": unit.uid,
-            "zone_pickle": pickle.dumps(unit.zone),
-            "version": unit.version,
-            "options": self.options.to_json(),
-            "base_zone_pickle": (pickle.dumps(unit.base_zone)
-                                 if unit.base_zone is not None else None),
-        }
-        return payload
-
-    def _grace_seconds(self) -> Optional[float]:
-        if self.options.budget_seconds is None:
-            return None
-        return 3.0 * self.options.budget_seconds + 30.0
-
     def _schedule_attempt(self, unit: WorkUnit) -> None:
         with self._lock:
             if unit.uid not in self._attempts_inflight:
@@ -503,28 +487,21 @@ class CampaignService:
                           unit_kind=unit.kind, version=unit.version,
                           provenance=unit.provenance)
 
-    def _complete(self, unit: WorkUnit, verdict: Dict, writer, completed,
-                  replayed: bool, value: Optional[Dict] = None) -> None:
-        key = self._unit_key(unit)
-        if not replayed:
-            writer.append(key, verdict)
-            completed[unit_address(key)] = verdict
-            with self._lock:
-                self._checkpoint_units += 1
-                self._checkpoint_at = time.monotonic()
+    def _complete(self, unit: WorkUnit, verdict: Dict, replayed: bool,
+                  value: Optional[Dict]) -> None:
         with self._lock:
             self._attempts_inflight.discard(unit.uid)
             if replayed:
                 self._replayed += 1
-                self.perf.units_replayed += 1
             else:
-                self.perf.absorb(value.get("perf") if value else None)
-                incremental = (value or {}).get("incremental")
-                if incremental:
-                    self._incremental_reused += incremental.get(
-                        "partitions_reused", 0)
-                    self._incremental_recomputed += incremental.get(
-                        "partitions_recomputed", 0)
+                self._checkpoint_units += 1
+                self._checkpoint_at = time.monotonic()
+            incremental = (value or {}).get("incremental")
+            if incremental:
+                self._incremental_reused += incremental.get(
+                    "partitions_reused", 0)
+                self._incremental_recomputed += incremental.get(
+                    "partitions_recomputed", 0)
         self._events.emit(EV_COMPLETED, uid=unit.uid, unit_kind=unit.kind,
                           version=unit.version,
                           verdict=verdict.get("verdict"),
@@ -532,50 +509,22 @@ class CampaignService:
 
     def _run_batch(self, units: List[WorkUnit], writer,
                    completed: Dict[str, Dict]) -> Dict[int, Dict]:
-        """Execute (or replay) one batch; returns ``{uid: verdict}``."""
-        results: Dict[int, Dict] = {}
-        pending: List[WorkUnit] = []
+        """Execute (or replay) one batch through the campaign unit loop;
+        returns ``{uid: verdict}``."""
         for unit in units:
             self._schedule_attempt(unit)
-            cached = completed.get(unit_address(self._unit_key(unit)))
-            if cached is not None:
-                results[unit.uid] = cached
-                self._complete(unit, cached, writer, completed, replayed=True)
-            else:
-                pending.append(unit)
-        if not pending:
-            return results
-        payloads = [self._payload(unit) for unit in pending]
-        workers = self.options.workers or 1
-        for pos, status, value in run_units(
-            campaign_service_worker, payloads, workers,
-            self._grace_seconds(),
+        loop_units = [
+            CampaignUnit(unit.uid, unit.zone, unit.version,
+                         self._unit_key(unit), unit.base_zone)
+            for unit in units
+        ]
+        results: Dict[int, Dict] = {}
+        for pos, verdict, replayed, value in run_unit_loop(
+            loop_units, self.options, self.perf, writer, completed
         ):
-            unit = pending[pos]
-            if status == DIED:
-                # Deterministic unit: recompute in-parent, same answer.
-                value = campaign_service_worker(payloads[pos])
-                self.perf.units_fallback += 1
-                status = OK
-            elif status == TIMEOUT:
-                # The attempt stalled past the grace window: abandon it
-                # (requeued) and re-run in-parent, where the cooperative
-                # budget bounds it.
-                self._events.emit(EV_REQUEUED, uid=unit.uid,
-                                  cause="pool-stall")
-                with self._lock:
-                    self._requeued += 1
-                self._events.emit(
-                    EV_SCHEDULED, uid=unit.uid, task=unit.task,
-                    unit_kind=unit.kind, version=unit.version,
-                    provenance=unit.provenance, retry=True)
-                value = campaign_service_worker(payloads[pos])
-                self.perf.units_timed_out += 1
-                status = OK
-            verdict = value["verdict"]
-            results[unit.uid] = verdict
-            self._complete(unit, verdict, writer, completed,
-                           replayed=False, value=value)
+            unit = units[pos]
+            results[unit.uid] = verdict.to_json()
+            self._complete(unit, results[unit.uid], replayed, value)
         return results
 
     # -- result absorption ---------------------------------------------------

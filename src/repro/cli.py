@@ -85,24 +85,6 @@ def _make_cache(args):
     return SummaryCache(cache_dir=args.cache)
 
 
-def _make_budget(args):
-    seconds = getattr(args, "budget_seconds", None)
-    fuel = getattr(args, "fuel", None)
-    if seconds is None and fuel is None:
-        return None
-    from repro.resilience import Budget
-
-    return Budget(wall_seconds=seconds, fuel=fuel)
-
-
-def _parse_faults(spec: Optional[str]):
-    if spec is None:
-        return None
-    from repro.resilience.faults import parse_spec
-
-    return parse_spec(spec)
-
-
 def _exit_code(verdict: str) -> int:
     """0 VERIFIED, 1 BUG, 2 UNKNOWN/ERROR — scripts can tell 'proved' from
     'refuted' from 'gave up'."""
@@ -127,7 +109,7 @@ def cmd_verify(args) -> int:
     # Sequential runs install the fault plan globally; pooled runs
     # (--workers) instead derive one deterministic plan per unit inside
     # each worker, so the parent installs nothing.
-    plan = None if options.workers is not None else _parse_faults(args.faults)
+    plan = None if options.workers is not None else options.make_fault_plan()
     try:
         if plan is not None:
             faults.install(plan)
@@ -163,7 +145,7 @@ def cmd_verify(args) -> int:
 def cmd_campaign(args) -> int:
     import json
 
-    from repro.core import run_campaign
+    from repro.core import VerifyOptions, run_campaign
     from repro.resilience import verdicts
 
     if args.status:
@@ -175,13 +157,9 @@ def cmd_campaign(args) -> int:
         args.version,
         num_zones=args.zones,
         seed=args.seed,
-        cache=cache,
-        budget_seconds=args.budget_seconds,
-        budget_fuel=args.fuel,
+        options=VerifyOptions.from_args(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
-        workers=args.workers,
-        faults=args.faults,
     )
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))

@@ -6,7 +6,9 @@ runs it over tens of thousands of randomly generated zone configurations
 (plus the live ones) on every engine iteration. :func:`run_campaign` is
 that loop: a stream of zones, one pipeline run per (zone, version) fanned
 through the :mod:`repro.parallel` pool (in-process for one worker),
-aggregated into a coverage/verdict report.
+aggregated into a coverage/verdict report. Its unit (:func:`run_unit`)
+and checkpointed unit loop (:func:`run_unit_loop`) are also what the
+long-running :mod:`repro.campaign` service runs.
 
 For speed, each zone is first smoke-tested differentially (milliseconds);
 zones the differential already refutes can optionally skip the heavier
@@ -20,14 +22,13 @@ import json
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.options import VerifyOptions
 from repro.core.pipeline import VerificationResult, VerificationSession
 from repro.dns.zone import Zone
 from repro.frontend.errors import GoPyError
 from repro.resilience import verdicts as verdicts_mod
-from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CheckpointWriter, unit_address
 from repro.resilience.faults import InjectedFault
 from repro.symex.errors import SymexError
@@ -196,104 +197,188 @@ def run_unit(
     index: int,
     zone: Zone,
     version: str,
-    smoke_first: bool = True,
+    options: VerifyOptions,
     cache=None,
-    budget_seconds: Optional[float] = None,
-    budget_fuel: Optional[int] = None,
-) -> Tuple[ZoneVerdict, Optional[VerificationResult]]:
+    base_zone: Optional[Zone] = None,
+) -> Tuple[ZoneVerdict, Optional[VerificationResult], Optional[Dict]]:
     """Verify one (zone, version) campaign unit.
 
-    This is THE unit of work — the campaign's pool workers call it
-    (:func:`repro.parallel.worker.campaign_unit_worker`), in-process or
-    not, which is what makes a campaign's verdicts bit-identical across
-    worker counts. Returns the typed verdict plus the underlying
-    :class:`VerificationResult` (None when the unit died of a typed
-    error) so callers can harvest perf/phase statistics.
+    This is THE unit of work of both campaign drivers — their pool
+    workers call it (:func:`repro.parallel.worker.campaign_unit_worker`),
+    in-process or not, which is what makes verdicts bit-identical across
+    worker counts. Without ``base_zone`` the unit is one from-scratch
+    :class:`VerificationSession`; with it (a campaign *mutation* unit) the
+    base is verified through the incremental engine, warming its
+    partition verdicts, and the unit's verdict is that of adopting
+    ``zone`` via :meth:`IncrementalVerifier.diff_to`. ``options.smoke_first``
+    runs the differential tester first; a zone it refutes must not prove.
+
+    Returns the typed verdict, the underlying :class:`VerificationResult`
+    (None when the unit died of a typed error) so callers can harvest
+    perf statistics, and, for mutation units, the partition-reuse counts
+    (telemetry only: they depend on cache warmth).
     """
-    budget = None
-    if budget_seconds is not None or budget_fuel is not None:
-        budget = Budget(wall_seconds=budget_seconds, fuel=budget_fuel)
+    from repro.incremental.engine import IncrementalVerifier
+
     started = time.perf_counter()
     divergences = 0
+    reuse = None
     try:
-        if smoke_first:
+        if options.smoke_first:
             smoke = differential_test(zone, version, check_reference=False)
             divergences = len(smoke.divergences)
-        result = VerificationSession(
-            zone, version, cache=cache, budget=budget
-        ).verify()
+        if base_zone is None:
+            result = VerificationSession(
+                zone, version, cache=cache, budget=options.make_budget(),
+                **options.session_kwargs(),
+            ).verify(use_summaries=options.use_summaries)
+        else:
+            verifier = IncrementalVerifier(
+                base_zone, version, cache=cache, options=options,
+                **options.session_kwargs(),
+            )
+            verifier.verify_current()
+            outcome = verifier.diff_to(zone)
+            result = outcome.result
+            reuse = {
+                "records_changed": outcome.reuse.records_changed,
+                "partitions_total": outcome.reuse.partitions_total,
+                "partitions_reused": outcome.reuse.partitions_reused,
+                "partitions_recomputed": outcome.reuse.partitions_recomputed,
+            }
     except UNIT_ERRORS as exc:
         error_class, detail = verdicts_mod.classify_error(exc)
-        return (
-            ZoneVerdict(
-                zone_index=index,
-                zone_origin=zone.origin.to_text(),
-                records=len(zone),
-                verified=False,
-                bug_categories=(),
-                elapsed_seconds=time.perf_counter() - started,
-                solver_checks=0,
-                differential_divergences=divergences,
-                verdict=verdicts_mod.ERROR,
-                error_class=error_class,
-                error_detail=detail,
-            ),
-            None,
-        )
+        verdict = _unit_verdict(
+            index, zone, verdicts_mod.ERROR, divergences=divergences,
+            elapsed_seconds=time.perf_counter() - started,
+            error_class=error_class, error_detail=detail)
+        return verdict, None, None
     if (
         divergences
         and result.verified
         and result.verdict == verdicts_mod.VERIFIED
     ):
         raise RuntimeError(
-            f"unsound: differential refuted zone {index} but the "
+            f"unsound: differential refuted unit {index} but the "
             f"proof passed ({version})"
         )
-    return (
-        ZoneVerdict(
-            zone_index=index,
-            zone_origin=zone.origin.to_text(),
-            records=len(zone),
-            verified=result.verified,
-            bug_categories=tuple(result.bug_categories()),
-            elapsed_seconds=result.elapsed_seconds,
-            solver_checks=result.solver_checks,
-            differential_divergences=divergences,
-            verdict=result.verdict,
-            unknown_reason=result.unknown_reason,
-            error_class=result.error_class,
-            error_detail=result.error_detail,
-        ),
-        result,
+    verdict = _unit_verdict(
+        index, zone, result.verdict, divergences, result.elapsed_seconds,
+        verified=result.verified,
+        bug_categories=tuple(result.bug_categories()),
+        solver_checks=result.solver_checks,
+        unknown_reason=result.unknown_reason,
+        error_class=result.error_class,
+        error_detail=result.error_detail,
     )
+    return verdict, result, reuse
 
 
-def _grace_seconds(options) -> Optional[float]:
-    """Pool stall watchdog, sized from the per-unit budget: generous
-    enough that a cooperative deadline always fires first, tight enough
-    that a wedged worker cannot hang the run. None (no watchdog) when
-    the run is unbudgeted — then nothing bounds a unit by design."""
-    if options.budget_seconds is None:
-        return None
-    return 3.0 * options.budget_seconds + 30.0
-
-
-def _timeout_verdict(index: int, zone: Zone) -> ZoneVerdict:
-    """A unit whose worker stalled past the grace period: its coverage is
-    lost, typed as UNKNOWN(wall-clock-deadline) — the campaign analogue of
-    a cooperative budget expiry, just enforced from outside."""
+def _unit_verdict(index: int, zone: Zone, kind: str, divergences: int = 0,
+                  elapsed_seconds: float = 0.0, **fields) -> ZoneVerdict:
+    """Build a unit's verdict — the one place a campaign verdict is made.
+    ``fields`` override the defaults of a unit that produced no proof
+    result (unverified, no bugs, no solver checks)."""
+    fields.setdefault("verified", False)
+    fields.setdefault("bug_categories", ())
+    fields.setdefault("solver_checks", 0)
     return ZoneVerdict(
         zone_index=index,
         zone_origin=zone.origin.to_text(),
         records=len(zone),
-        verified=False,
-        bug_categories=(),
-        elapsed_seconds=0.0,
-        solver_checks=0,
-        differential_divergences=0,
-        verdict=verdicts_mod.UNKNOWN,
-        unknown_reason=verdicts_mod.REASON_DEADLINE,
+        elapsed_seconds=elapsed_seconds,
+        differential_divergences=divergences,
+        verdict=kind,
+        **fields,
     )
+
+
+@dataclass(frozen=True)
+class CampaignUnit:
+    """One unit as the unit loop sees it, whichever driver made it.
+
+    ``index`` is the stable unit id (it seeds the unit's fault plan and
+    names its verdict); ``key`` is the checkpoint address material.
+    """
+
+    index: int
+    zone: Zone
+    version: str
+    key: Dict
+    base_zone: Optional[Zone] = None
+
+
+def run_unit_loop(
+    units: Sequence[CampaignUnit],
+    options: VerifyOptions,
+    perf,
+    writer: Optional[CheckpointWriter] = None,
+    completed: Optional[Dict[str, Dict]] = None,
+) -> Iterator[Tuple[int, ZoneVerdict, bool, Optional[Dict]]]:
+    """The checkpointed unit loop both campaign drivers run.
+
+    Yields ``(position, verdict, replayed, value)`` per unit of ``units``
+    — replayed units first, in order, then computed ones in completion
+    order; ``value`` is the worker's return (None when replayed or
+    stalled). A unit whose address is in ``completed`` (the checkpoint's
+    map) is replayed instead of run. The rest fan out across
+    ``options.workers`` processes (None or 1: in-process) under the pool's
+    :func:`~repro.parallel.pool.grace_seconds` watchdog. A unit whose
+    worker died is recomputed here — it is deterministic, so that yields
+    exactly what the lost worker would have returned; a unit whose worker
+    stalled is typed ``UNKNOWN(wall-clock-deadline)``, the analogue of a
+    cooperative budget expiry enforced from outside. Every computed
+    verdict is appended to ``writer`` (and ``completed``) before it is
+    yielded, and its perf record folded into ``perf`` (a
+    :class:`~repro.parallel.counters.PerfCounters`).
+    """
+    from repro.parallel.pool import DIED, OK, grace_seconds, run_units
+    from repro.parallel.worker import campaign_unit_worker
+
+    completed = completed if completed is not None else {}
+    pending: List[int] = []
+    for pos, unit in enumerate(units):
+        cached = completed.get(unit_address(unit.key))
+        if cached is None:
+            pending.append(pos)
+            continue
+        perf.units_replayed += 1
+        yield pos, ZoneVerdict.from_json(cached), True, None
+
+    payloads = [
+        {
+            "index": unit.index,
+            "zone_pickle": pickle.dumps(unit.zone),
+            "base_zone_pickle": (None if unit.base_zone is None
+                                 else pickle.dumps(unit.base_zone)),
+            "version": unit.version,
+            "options": options.to_json(),
+        }
+        for unit in (units[pos] for pos in pending)
+    ]
+    for i, status, value in run_units(
+        campaign_unit_worker, payloads, options.workers or 1,
+        grace_seconds(options.budget_seconds),
+    ):
+        unit = units[pending[i]]
+        if status == DIED:
+            value = campaign_unit_worker(payloads[i])
+            perf.units_fallback += 1
+            status = OK
+        if status == OK:
+            verdict = ZoneVerdict.from_json(value["verdict"])
+            perf.absorb(value.get("perf"))
+        else:  # TIMEOUT
+            verdict = _unit_verdict(
+                unit.index, unit.zone, verdicts_mod.UNKNOWN,
+                unknown_reason=verdicts_mod.REASON_DEADLINE)
+            perf.units_timed_out += 1
+        if writer is not None:
+            # Records land in completion order; the file is a map keyed
+            # by unit address, so replay order is irrelevant.
+            writer.append(unit.key, verdict.to_json())
+            completed[unit_address(unit.key)] = verdict.to_json()
+        yield pending[i], verdict, False, value
 
 
 def run_campaign(
@@ -339,8 +424,6 @@ def run_campaign(
     """
     from repro.incremental.digest import engine_digest, zone_digest
     from repro.parallel.counters import PerfCounters
-    from repro.parallel.pool import DIED, OK, run_units
-    from repro.parallel.worker import campaign_unit_worker
 
     overrides = {"budget_seconds": budget_seconds, "fuel": budget_fuel,
                  "workers": workers, "faults": faults}
@@ -348,7 +431,6 @@ def run_campaign(
         overrides["cache_dir"] = str(cache.cache_dir)
     options = (options or VerifyOptions()).with_(
         **{k: v for k, v in overrides.items() if v is not None})
-    pool_size = options.workers or 1
     if zones is None:
         config = GeneratorConfig(seed=seed, **config_overrides)
         zones = ZoneGenerator(config).stream(num_zones)
@@ -356,14 +438,15 @@ def run_campaign(
 
     report = CampaignReport(version)
     started = time.perf_counter()
-    perf = PerfCounters(workers=pool_size, units_total=len(zones))
+    perf = PerfCounters(workers=options.workers or 1, units_total=len(zones))
     engine = engine_digest(version)
     digests = [zone_digest(zone) for zone in zones]
-    unit_keys = [
-        {"index": index, "zone": digest, "engine": engine}
-        for index, digest in enumerate(digests)
+    units = [
+        CampaignUnit(index, zone, version,
+                     {"index": index, "zone": digest, "engine": engine})
+        for index, (zone, digest) in enumerate(zip(zones, digests))
     ]
-    writer, completed = None, {}
+    writer, completed = None, None
     if checkpoint is not None:
         header = {"kind": "campaign", "version": version, "engine": engine,
                   "smoke_first": options.smoke_first, "zones": digests}
@@ -371,47 +454,10 @@ def run_campaign(
                                                   resume=resume)
 
     verdicts: Dict[int, ZoneVerdict] = {}
-    pending: List[int] = []
-    for index, key in enumerate(unit_keys):
-        cached = completed.get(unit_address(key))
-        if cached is not None:
-            verdicts[index] = ZoneVerdict.from_json(cached)
-            perf.units_replayed += 1
-        else:
-            pending.append(index)
-
-    payloads = [
-        {
-            "index": index,
-            "zone_pickle": pickle.dumps(zones[index]),
-            "version": version,
-            "options": options.to_json(),
-        }
-        for index in pending
-    ]
-    for pos, status, value in run_units(
-        campaign_unit_worker, payloads, pool_size, _grace_seconds(options)
+    for pos, verdict, _replayed, _value in run_unit_loop(
+        units, options, perf, writer, completed
     ):
-        index = pending[pos]
-        if status == DIED:
-            # The worker process vanished mid-unit; the unit itself is
-            # deterministic, so recomputing it in this process yields
-            # exactly what the lost worker would have returned.
-            value = campaign_unit_worker(payloads[pos])
-            perf.units_fallback += 1
-            status = OK
-        if status == OK:
-            verdict = ZoneVerdict.from_json(value["verdict"])
-            perf.absorb(value.get("perf"))
-        else:  # TIMEOUT
-            verdict = _timeout_verdict(index, zones[index])
-            perf.units_timed_out += 1
-        verdicts[index] = verdict
-        if writer is not None:
-            # Records land in completion order; the file is a map keyed
-            # by unit address, so replay order is irrelevant.
-            writer.append(unit_keys[index], verdict.to_json())
-
+        verdicts[pos] = verdict
     report.verdicts = [verdicts[index] for index in range(len(zones))]
     report.elapsed_seconds = time.perf_counter() - started
     report.perf = perf.finish().to_json()

@@ -736,9 +736,11 @@ def verify_engine(
     Configuration travels in ``options``
     (:class:`repro.core.options.VerifyOptions`); live objects — an open
     ``cache``, a running ``budget``, a custom ``solver`` — stay explicit
-    keyword arguments. When ``options.workers`` is set the run goes
-    through the partitioned pooled executor (:mod:`repro.parallel`),
-    whose merged result is deterministic across worker counts.
+    keyword arguments. When ``options.workers`` is set, or a non-default
+    planner is chosen, the run goes through the partitioned
+    :class:`~repro.incremental.engine.IncrementalVerifier` (pooled via
+    :mod:`repro.parallel` when ``workers`` is set), whose merged result
+    is deterministic across worker counts.
     """
     from repro.core.options import VerifyOptions
 
@@ -746,14 +748,11 @@ def verify_engine(
         options = VerifyOptions()
     if cache is None:
         cache = options.make_cache()
-    if options.workers is not None:
-        from repro.parallel import verify_partitioned
-
-        return verify_partitioned(zone, version, options=options, cache=cache)
-    if options.planner not in (None, "by-label"):
-        # Non-default planners are inherently unit-based: route the
-        # sequential run through the incremental engine, which plans,
-        # verifies and merges per unit (same merge the pooled path uses).
+    if options.workers is not None or options.planner not in (None, "by-label"):
+        # Unit-based run: the incremental engine plans, verifies and
+        # merges per unit — misses through the pool when ``workers`` is
+        # set (any count, 1 included, takes the same pooled path), live
+        # in-process otherwise.
         from repro.incremental.engine import IncrementalVerifier
 
         verifier = IncrementalVerifier(
@@ -761,6 +760,7 @@ def verify_engine(
             version,
             cache=cache,
             depth=options.depth,
+            workers=options.workers,
             options=options,
             max_paths=options.max_paths,
             max_steps=options.max_steps,

@@ -424,7 +424,7 @@ class IncrementalVerifier:
         import pickle
 
         from repro.parallel.counters import perf_phases
-        from repro.parallel.pool import OK, TIMEOUT, run_units
+        from repro.parallel.pool import OK, TIMEOUT, grace_seconds, run_units
         from repro.parallel.worker import partition_worker
 
         options = self._worker_options()
@@ -453,12 +453,10 @@ class IncrementalVerifier:
                     "options": unit_options.to_json(),
                 }
             )
-        grace = None
-        if options.budget_seconds is not None:
-            grace = 3.0 * options.budget_seconds + 30.0
         fresh: Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]] = {}
         for pos, status, value in run_units(
-            partition_worker, payloads, self.workers, grace
+            partition_worker, payloads, self.workers,
+            grace_seconds(options.budget_seconds),
         ):
             position = misses[pos]
             part, key = plan[position]
@@ -663,12 +661,3 @@ class IncrementalVerifier:
             )
         )
         return session.verify(use_summaries=self._use_summaries())
-
-    # Kept as aliases for backward compatibility; the logic moved to the
-    # module level so pool workers can share it.
-    _verdict_of = staticmethod(verdict_of)
-    _replay_bugs = staticmethod(replay_bugs)
-
-    def _merge(self, merged: VerificationResult, part_key: str, verdict: Dict,
-               bugs: List[BugReport], cached: bool) -> None:
-        merge_partition(merged, part_key, verdict, bugs, cached)

@@ -8,7 +8,6 @@ worker count, including the in-process run. See
 """
 
 from repro.parallel.counters import PerfCounters, perf_phases, unit_perf
-from repro.parallel.executor import verify_partitioned
 from repro.parallel.pool import DIED, OK, TIMEOUT, run_units
 from repro.parallel.worker import campaign_unit_worker, partition_worker
 
@@ -16,7 +15,6 @@ __all__ = [
     "PerfCounters",
     "perf_phases",
     "unit_perf",
-    "verify_partitioned",
     "run_units",
     "campaign_unit_worker",
     "partition_worker",

@@ -15,9 +15,10 @@ pool can go wrong:
 - a **stall** (no unit completes within ``grace_seconds``) terminates
   the pool's processes and yields the outstanding units with status
   ``"timeout"`` so the caller can degrade them to
-  ``UNKNOWN(partial-coverage)`` instead of hanging forever. Budgets are
+  ``UNKNOWN(wall-clock-deadline)`` instead of hanging forever. Budgets are
   cooperative, so a stall can only mean a worker wedged outside any
-  charge point; the grace period is sized from the unit budget.
+  charge point; :func:`grace_seconds` sizes the period from the unit
+  budget.
 
 ``workers <= 1`` (or a single payload) runs everything in-process with
 identical semantics and no pool overhead — worker functions are
@@ -58,6 +59,16 @@ def mp_context():
             f"{_ENV_START}={chosen!r} not available here (have {methods})"
         )
     return multiprocessing.get_context(chosen)
+
+
+def grace_seconds(budget_seconds: Optional[float]) -> Optional[float]:
+    """The stall watchdog for units under a ``budget_seconds`` deadline:
+    generous enough that a cooperative deadline always fires first, tight
+    enough that a wedged worker cannot hang the run. None (no watchdog)
+    when units are unbudgeted — then nothing bounds a unit by design."""
+    if budget_seconds is None:
+        return None
+    return 3.0 * budget_seconds + 30.0
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:

@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.core
 from repro.cli import main as cli_main
-from repro.core import run_campaign
+from repro.core import CampaignReport, VerifyOptions, run_campaign
 from repro.zonegen import GeneratorConfig, ZoneGenerator, minimal_zone
 
 
@@ -34,6 +35,12 @@ class TestCampaign:
     def test_explicit_zone_list(self):
         report = run_campaign("verified", zones=[minimal_zone()])
         assert report.zones_run == 1 and report.zones_verified == 1
+        assert report.perf["guards_pruned"] > 0
+        # The analysis ablation reaches the unit's session.
+        ablated = run_campaign("verified", zones=[minimal_zone()],
+                               options=VerifyOptions(analysis=False))
+        assert ablated.zones_verified == 1
+        assert ablated.perf["guards_pruned"] == 0
 
     def test_smoke_cross_check_consistency(self):
         # smoke_first (the VerifyOptions default) raises if the
@@ -87,6 +94,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "implementation" in out
+
+    def test_campaign_forwards_runtime_flags(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake_campaign(version, **kwargs):
+            seen.update(kwargs)
+            return CampaignReport(version)
+
+        monkeypatch.setattr(repro.core, "run_campaign", fake_campaign)
+        code = cli_main(["campaign", "--zones", "1", "--no-analysis",
+                         "--analysis-check", "--fuel", "900",
+                         "--faults", "seed:7:0.05"])
+        assert code == 0
+        assert seen["options"] == VerifyOptions(
+            analysis=False, analysis_check=True, fuel=900,
+            faults="seed:7:0.05")
 
     def test_unknown_version_rejected(self):
         with pytest.raises(SystemExit):
