@@ -175,7 +175,6 @@ def build_query(txid: int, query: Query) -> bytes:
 
 def build_response(txid: int, response: Response) -> bytes:
     """Serialise a response message."""
-    flags = 0x8000 | 0x0400  # QR | RD copied off; AA set below
     flags = 0x8000
     if response.aa:
         flags |= 0x0400

@@ -48,6 +48,9 @@ class ServerMetrics:
         self.queries_udp = 0
         self.queries_tcp = 0
         self.responses = 0
+        #: Responses served from the snapshot's answer memo (a subset of
+        #: ``responses``; hits ÷ responses is the memo's hit rate).
+        self.answer_cache_hits = 0
         self.noerror = 0
         self.nxdomain = 0
         self.formerr = 0
@@ -147,6 +150,7 @@ class ServerMetrics:
             "queries_udp": self.queries_udp,
             "queries_tcp": self.queries_tcp,
             "responses": self.responses,
+            "answer_cache_hits": self.answer_cache_hits,
             "noerror": self.noerror,
             "nxdomain": self.nxdomain,
             "formerr": self.formerr,

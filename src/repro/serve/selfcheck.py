@@ -15,15 +15,22 @@ query load. The spec-level cross-check of
 :func:`repro.testing.differential.differential_test` is additionally run
 over the same sample, so a divergence report distinguishes "engine
 disagrees with the verified engine" from "both disagree with the spec".
+
+The checker is also the oracle for the snapshot's answer memo
+(:attr:`~repro.serve.snapshot.ServingSnapshot.answers`): each sample
+keeps the packet's memo key, and a sampled question whose answer is
+memoised must have a cached reply byte-identical to what the snapshot's
+engine builds for it now. A mismatch is a ``cache-divergence``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.dns.message import Query
+from repro.dns.wire import WireError, build_response, parse_query
 from repro.dns.zonefile import zone_to_text
 from repro.serve.snapshot import ResolveError, ServingSnapshot, build_snapshot
 from repro.testing.differential import differential_test
@@ -44,7 +51,8 @@ class SelfChecker:
         self.every = every
         self.reference_version = reference_version
         self._clock = clock
-        self._buffer: Deque[Query] = deque(maxlen=capacity)
+        self._buffer: Deque[Tuple[Optional[Query], Optional[bytes]]] = deque(
+            maxlen=capacity)
         self._seen = 0
         self._reference: Optional[ServingSnapshot] = None
         self.runs = 0
@@ -65,10 +73,15 @@ class SelfChecker:
 
     # -- sampling (hot path: one modulo and sometimes an append) ------------
 
-    def observe(self, query: Query) -> None:
+    def observe(self, query: Optional[Query],
+                key: Optional[bytes] = None) -> None:
+        """Count one live query; sample every ``every``-th. ``key`` is the
+        packet's answer-memo key (its bytes after the transaction id).
+        An answer-memo hit passes no ``query``: :meth:`run` re-parses it
+        from ``key``."""
         self._seen += 1
         if self._seen % self.every == 0:
-            self._buffer.append(query)
+            self._buffer.append((query, key))
 
     @property
     def pending(self) -> int:
@@ -86,12 +99,17 @@ class SelfChecker:
     def run(self, snapshot: ServingSnapshot) -> Dict[str, object]:
         """Drain the sample buffer and cross-check it; returns a report."""
         queries: List[Query] = []
+        keyed: Dict[bytes, Query] = {}
         seen = set()
         while self._buffer:
-            query = self._buffer.popleft()
-            key = (query.qname, query.qtype)
-            if key not in seen:
-                seen.add(key)
+            query, key = self._buffer.popleft()
+            if query is None:
+                query = parse_query(b"\0\0" + key)[1]
+            if key is not None:
+                keyed[key] = query
+            question = (query.qname, query.qtype)
+            if question not in seen:
+                seen.add(question)
                 queries.append(query)
         self.runs += 1
         self.last_run_at = self._clock()
@@ -128,6 +146,19 @@ class SelfChecker:
                     )
                     export(query, "engine-divergence",
                            f"{snapshot.version} vs {self.reference_version}")
+        for key, query in keyed.items():
+            cached = snapshot.answers.get(key)
+            if cached is None:
+                continue
+            try:
+                expected = build_response(0, snapshot.resolve(query))[2:]
+            except (ResolveError, WireError):
+                expected = None  # a failure is never memoised
+            if cached[1] != expected:
+                found.append(f"{query.to_text()}: cached answer diverges "
+                             f"from the {snapshot.version} engine")
+                export(query, "cache-divergence",
+                       f"answer memo vs {snapshot.version} engine")
         spec_divergences = 0
         if queries:
             spec_result = differential_test(

@@ -22,8 +22,13 @@ Transports
   qps and drop counters, self-check state — then closes. ``nc host port``
   is the whole monitoring client.
 
-The query path is synchronous (parse → tree walk → serialize, ~40µs) and
-runs directly on the event loop; verification runs in a worker thread via
+The query path is synchronous and runs directly on the event loop. A
+question the current snapshot has answered before is a dictionary hit on
+its answer memo (:attr:`ServingSnapshot.answers`, keyed by the query bytes
+after the transaction id): the cached reply tail goes out behind the new
+transaction id, a few µs. A miss takes the full path (parse → encode →
+tree walk → decode → serialize, ~60µs) and memoises the reply if it built
+cleanly. Verification runs in a worker thread via
 :meth:`ZoneServer.publish` so the server keeps answering during a gate
 check. Self-checking replays a sample of live queries against a
 ``verified``-engine snapshot (:mod:`repro.serve.selfcheck`).
@@ -61,6 +66,12 @@ from repro.serve.snapshot import ResolveError, ServingSnapshot, build_snapshot
 #: Shortest parseable message: the 12-byte header. Anything shorter is
 #: dropped — there is no transaction id worth echoing an error to.
 MIN_QUERY_LENGTH = 12
+
+#: Bound on one snapshot's answer memo. A full memo is cleared, not
+#: evicted entry by entry, so a hit does no bookkeeping; a working set
+#: that fits (the common case: a zone's hot names) stays resident, and a
+#: stream of distinct questions costs one clear per this many misses.
+ANSWER_CACHE_CAP = 2048
 
 #: Default slowloris guard: a TCP connection that completes no frame for
 #: this long is closed and counted (``None`` disables).
@@ -221,7 +232,8 @@ class ZoneServer:
                       transport: str = "udp") -> bytes:
         """One query in, one (possibly empty) reply out. Pure function of
         the current snapshot — no awaits, no shared mutable state beyond
-        counters — so a snapshot swap mid-burst is invisible to it."""
+        counters and the pinned snapshot's own answer memo — so a
+        snapshot swap mid-burst is invisible to it."""
         self.metrics.count_query(transport)
         if transport == "udp" and faults.should_fire(faults.SITE_SERVE_UDP_RECV):
             # Simulates the datagram dying in the socket layer (recv
@@ -240,19 +252,29 @@ class ZoneServer:
         if len(data) < MIN_QUERY_LENGTH:
             self.metrics.dropped_malformed += 1
             return b""
-        try:
-            txid, query = parse_query(data)
-        except NotAQueryError:
-            # RFC 1035 7.1: never answer a message with QR set — a reply
-            # would itself be a response, and a spoofed source address
-            # (another server's, or our own) turns that into an infinite
-            # reflection loop between authoritatives.
-            self.metrics.dropped_malformed += 1
-            return b""
-        except WireError:
-            txid = int.from_bytes(data[:2], "big")
-            self.metrics.count_rcode(int(RCode.FORMERR))
-            return build_error_response(txid, RCode.FORMERR)
+        snapshot = self.gate.snapshot  # pin: publishes swap this reference
+        key = data[2:]
+        hit = snapshot.answers.get(key)
+        if hit is not None:
+            # A memo entry holds no Query (keeping one alive per entry
+            # costs the cache-miss path measurably in collector work);
+            # the rare steps below that need it re-parse the packet,
+            # which parsed cleanly when its answer was memoised.
+            txid, query = (data[0] << 8) | data[1], None
+        else:
+            try:
+                txid, query = parse_query(data)
+            except NotAQueryError:
+                # RFC 1035 7.1: never answer a message with QR set — a
+                # reply would itself be a response, and a spoofed source
+                # address (another server's, or our own) turns that into
+                # an infinite reflection loop between authoritatives.
+                self.metrics.dropped_malformed += 1
+                return b""
+            except WireError:
+                txid = int.from_bytes(data[:2], "big")
+                self.metrics.count_rcode(int(RCode.FORMERR))
+                return build_error_response(txid, RCode.FORMERR)
 
         if level >= degrade_mod.SERVFAIL_SHED and self.degrade.should_shed(client):
             # Header-only SERVFAIL for the (deterministically chosen)
@@ -265,15 +287,20 @@ class ZoneServer:
             # where the accept queue back-pressures. Skips the resolve.
             self.metrics.truncated += 1
             self.metrics.count_rcode(int(RCode.NOERROR))
+            if query is None:
+                query = parse_query(data)[1]
             return build_truncated_response(txid, query)
 
         if self.selfcheck is not None:
             if level >= degrade_mod.SHED_SELFCHECK:
                 self.metrics.selfcheck_suspended += 1
             else:
-                self.selfcheck.observe(query)
+                self.selfcheck.observe(query, key)
 
-        snapshot = self.gate.snapshot  # pin: publishes swap this reference
+        if hit is not None:
+            self.metrics.answer_cache_hits += 1
+            self.metrics.count_rcode(hit[0])
+            return data[:2] + hit[1]
         try:
             response = snapshot.resolve(query)
         except ResolveError as exc:
@@ -289,7 +316,12 @@ class ZoneServer:
             self.metrics.encode_failures += 1
             self.metrics.count_rcode(int(RCode.SERVFAIL))
             return build_error_response(txid, RCode.SERVFAIL, query)
-        self.metrics.count_rcode(int(response.rcode))
+        rcode = int(response.rcode)
+        answers = snapshot.answers
+        if len(answers) >= ANSWER_CACHE_CAP:
+            answers.clear()
+        answers[key] = (rcode, wire[2:])
+        self.metrics.count_rcode(rcode)
         return wire
 
     def resolve(self, query: Query) -> Response:

@@ -7,6 +7,14 @@ The server publishes a new snapshot by swapping a single reference
 (atomic under the GIL), so in-flight queries keep resolving against the
 snapshot they started with and a hot-swap never drops traffic.
 
+The one mutable part is the answer memo, :attr:`ServingSnapshot.answers`.
+A published snapshot is VERIFIED and immutable, so the reply bytes after
+the transaction id are a pure function of (snapshot, query bytes after
+the transaction id); :meth:`~repro.serve.server.ZoneServer.handle_packet`
+memoises them there. The memo dies with its snapshot: a publish swaps in
+a new snapshot with an empty one, so no answer outlives the zone that
+produced it and nothing ever invalidates an entry.
+
 Fresh-label encoding
 --------------------
 
@@ -90,7 +98,13 @@ def encode_query_name(
 
 @dataclass(frozen=True)
 class ServingSnapshot:
-    """One published state of the serving plane (never mutated in place)."""
+    """One published state of the serving plane.
+
+    Nothing but :attr:`answers` is mutated after construction. That dict
+    maps a query's bytes after the transaction id to ``(rcode, reply
+    bytes after the transaction id)``; only the server's query path
+    writes it, and it starts empty on every snapshot.
+    """
 
     zone: Zone
     version: str
@@ -100,6 +114,7 @@ class ServingSnapshot:
     digest: str = ""
     sequence: int = 0
     published_at: float = 0.0
+    answers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def resolve(self, query: Query) -> Response:
         """Answer one query against this snapshot.

@@ -27,6 +27,12 @@ Afterwards it asserts the invariants that define "chaos-hardened":
 ``restart_recovers``         a fresh server over the same journal starts
                              VERIFIED (bit-identical when the journal head
                              matches; re-verified when it ran ahead)
+``answer_cache_consistent``  every accepted delta's rewritten owner is
+                             answered with the new rdata straight after the
+                             publish (no memoised answer outlives its
+                             snapshot), and every entry of the final
+                             snapshot's answer memo re-derives byte-for-byte
+                             through parse, resolve and build
 
 The drill is deliberately *invariant*-based, not trace-based: fault
 timing shifts with event-loop interleaving, so two soaks with one seed
@@ -49,7 +55,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.dns.message import Query
 from repro.dns.name import DnsName
 from repro.dns.rtypes import RRType
-from repro.dns.wire import build_query
+from repro.dns.wire import (
+    WireError,
+    build_query,
+    build_response,
+    parse_query,
+    parse_response,
+)
 from repro.resilience import faults
 from repro.resilience import verdicts as verdicts_mod
 from repro.resilience.supervise import RetryPolicy
@@ -71,11 +83,19 @@ QUERY_MIX: Tuple[Tuple[str, RRType], ...] = (
 )
 
 
+#: The owner every benign delta rewrites, and its address in round ``n``.
+REWRITTEN_OWNER = "www.example.com."
+
+
+def benign_address(round_no: int) -> str:
+    return f"192.0.2.{100 + round_no}"
+
+
 def benign_delta_text(round_no: int) -> str:
     """A delta the gate publishes (rdata change only)."""
     from repro.zonegen.corpus import MINIMAL_ZONE_TEXT
 
-    return MINIMAL_ZONE_TEXT.replace("192.0.2.10", f"192.0.2.{100 + round_no}")
+    return MINIMAL_ZONE_TEXT.replace("192.0.2.10", benign_address(round_no))
 
 
 def buggy_delta_text() -> str:
@@ -251,6 +271,36 @@ async def _read_status(host: str, port: int) -> Optional[Dict[str, object]]:
         return None
 
 
+def _probe_rewritten(server, address: str) -> bool:
+    """Ask the live query path for the rewritten owner once; True when it
+    answers with exactly ``address`` (a stale memoised answer would not).
+    Asked as TCP so the datagram fault sites cannot drop it."""
+    wire = build_query(0, Query(DnsName.from_text(REWRITTEN_OWNER), RRType.A))
+    reply = server.handle_packet(wire, "chaos-drill-probe", transport="tcp")
+    try:
+        _, response = parse_response(reply)
+    except WireError:
+        return False
+    return [r.rdata.to_text() for r in response.answer] == [address]
+
+
+def _answers_rederive(snapshot) -> bool:
+    """Every memoised answer equals what the snapshot's engine builds for
+    the same packet now (transaction id zeroed on both sides)."""
+    from repro.serve.snapshot import ResolveError
+
+    for key, (rcode, tail) in list(snapshot.answers.items()):
+        try:
+            _, query = parse_query(b"\0\0" + key)
+            response = snapshot.resolve(query)
+            rebuilt = build_response(0, response)[2:]
+        except (WireError, ResolveError):
+            return False
+        if rebuilt != tail or int(response.rcode) != rcode:
+            return False
+    return True
+
+
 def _write_zone(path: str, text: str, bump: int) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -345,6 +395,7 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
                 buggy = deltas_done == 1  # one mid-soak poisoned delta
                 text = (buggy_delta_text() if buggy
                         else benign_delta_text(deltas_done))
+                address = None if buggy else benign_address(deltas_done)
                 digest = zone_digest(parse_zone_text(text))
                 _write_zone(zone_path, text, deltas_done + 1)
                 result = await asyncio.to_thread(reloader.poll_once)
@@ -360,6 +411,9 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
                     entry["accepted"] = result.accepted
                     if result.accepted:
                         verified_digests.add(result.snapshot_digest)
+                        if address is not None:
+                            entry["served_new_rdata"] = _probe_rewritten(
+                                server, address)
                     else:
                         held_digests.add(digest)
                 if buggy:
@@ -376,6 +430,7 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
     status_doc = await _read_status(server.host, server.status_port)
     conservation = server.metrics.conservation()
     journal_records = server.journal.replay()
+    answers_rederive = _answers_rederive(server.snapshot)
     final_digest = server.snapshot.digest
     final_sequence = server.snapshot.sequence
     metrics = server.metrics.as_dict()
@@ -433,6 +488,9 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
         ),
         "status_readable": status_doc is not None,
         "restart_recovers": restart_ok,
+        "answer_cache_consistent": answers_rederive and all(
+            d.get("served_new_rdata", True) for d in delta_log
+        ),
     }
     failures = [name for name, held in invariants.items() if not held]
     if uncaught:
