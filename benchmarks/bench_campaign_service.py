@@ -16,8 +16,7 @@ Three questions about the continuous campaign daemon, measured:
   as a fraction of campaign wall time.
 
 Run under pytest for the harness (one small point), or standalone for
-the machine-readable trajectory committed as
-``BENCH_campaign_service.json``::
+the machine-readable trajectory::
 
     PYTHONPATH=src python benchmarks/bench_campaign_service.py \
         [--units N] [--workers 1,4,8] [--out BENCH_campaign_service.json]

@@ -25,9 +25,9 @@ pytest-benchmark harness, or standalone for machine-readable output::
 
     PYTHONPATH=src python benchmarks/bench_ec.py [--scales 10000,100000]
 
-The standalone mode prints a single JSON document (the checked-in
-``BENCH_ec.json`` is one such run; the ec-smoke CI job regenerates the
-100k row on every push).
+The standalone mode prints a single JSON document (the ec-smoke CI job
+regenerates the 100k row on every push and uploads it as the
+``BENCH_ec`` artifact).
 """
 
 import argparse

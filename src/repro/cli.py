@@ -563,7 +563,8 @@ def cmd_serve(args) -> int:
         reloader_task = None
         reloader = None
         if args.watch:
-            reloader = ZoneReloader(args.watch, server.gate)
+            reloader = ZoneReloader(args.watch,
+                                    server.gate.reload_sink(args.watch))
             reloader.prime()
             reloader_task = asyncio.ensure_future(
                 reloader.run(interval=args.interval)

@@ -1,40 +1,30 @@
-"""A long-running daemon that re-verifies a zone file as it changes.
+"""``repro watch``: keep one zone file's verification verdict current.
 
-``WatchDaemon`` polls one zone file's mtime; when the file changes it
-reparses, diffs against the running snapshot, re-verifies incrementally via
-:class:`~repro.incremental.engine.IncrementalVerifier` and emits one JSON
-log line per update (latency, partitions reused/recomputed, solver checks,
-verdict). The CLI front end is ``python -m repro watch --zone ... --version
-...``; tests drive :meth:`poll_once` directly.
-
-Supervision (the daemon must outlive its environment):
-
-- transient IO on the zone file (``stat``/read races while an editor or
-  zone transfer rewrites it) is retried with exponential backoff plus
-  deterministic jitter (:class:`~repro.resilience.RetryPolicy`);
-- consecutive failing polls trip a circuit breaker
-  (:class:`~repro.resilience.CircuitBreaker`); when it opens the daemon
-  emits a final ``breaker: open`` record and :meth:`run` exits instead of
-  spinning on a permanently broken input;
-- every emitted event carries a ``health`` record (attempt counts,
-  consecutive failures, breaker state) so the JSON stream doubles as a
-  liveness feed.
+:class:`WatchDaemon` is a front end on the zone tailer,
+:class:`~repro.serve.reload.ZoneReloader`, which polls, reads and parses
+the file and owns the retry policy and circuit breaker. The daemon adds
+what is watch-specific: a sink that re-verifies each parsed zone via
+:class:`~repro.incremental.engine.IncrementalVerifier`, one JSON line per
+update (latency, partition reuse, solver checks, verdict and a ``health``
+record), and the blocking :meth:`WatchDaemon.run` loop, which exits once
+the breaker opens. ``python -m repro watch --zone ...`` runs it; tests
+drive :meth:`WatchDaemon.poll_once` directly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.dns.zonefile import parse_zone_text
 from repro.incremental.cache import SummaryCache
 from repro.incremental.engine import IncrementalOutcome, IncrementalVerifier
 from repro.resilience import faults
-from repro.resilience.supervise import CircuitBreaker, RetryPolicy, retry_call
+from repro.resilience.supervise import RetryPolicy
+from repro.serve.reload import ZoneReloader
 
 
 @dataclass
@@ -98,103 +88,58 @@ class WatchDaemon:
         self.workers = workers
         self.options = options
         self.interval = interval
-        self.log = log if log is not None else self._default_log
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker = CircuitBreaker(max_failures=max_failures)
+        self.log = log or functools.partial(print, flush=True)
+        self.reloader: ZoneReloader[WatchEvent] = ZoneReloader(
+            self.zone_path, self._verify, retry=retry,
+            max_failures=max_failures, sleep=sleep,
+            stat_site=faults.SITE_WATCH_STAT, read_site=faults.SITE_WATCH_READ,
+        )
+        self.breaker = self.reloader.breaker
         self.verifier: Optional[IncrementalVerifier] = None
         self.sequence = 0
-        self._sleep = sleep
-        self._last_mtime: Optional[float] = None
-        self._last_size: Optional[int] = None
-        self._last_stat_error: Optional[str] = None
-        self._last_attempts = 1
-
-    @staticmethod
-    def _default_log(line: str) -> None:
-        sys.stdout.write(line + "\n")
-        sys.stdout.flush()
+        self._started = 0.0
+        self._last_error: Optional[str] = None
 
     # -- polling ---------------------------------------------------------------
 
-    def _stat_once(self):
-        faults.maybe_raise(faults.SITE_WATCH_STAT)
-        st = os.stat(self.zone_path)
-        return st.st_mtime, st.st_size
-
-    def _read_once(self) -> str:
-        faults.maybe_raise(faults.SITE_WATCH_READ)
-        with open(self.zone_path, "r", encoding="utf-8") as handle:
-            return handle.read()
-
     def poll_once(self) -> Optional[WatchEvent]:
-        """Process at most one update; None when the file is unchanged
-        (or the circuit breaker is open)."""
-        if self.breaker.is_open:
+        """Process at most one update; None when the file is unchanged,
+        the breaker is open, or the poll repeated the last reported
+        error (a repeat still feeds the breaker; the poll that trips it
+        is always reported)."""
+        self._started = time.perf_counter()
+        failures = self.reloader.failures
+        event = self.reloader.poll_once()
+        if self.reloader.failures == failures:
+            self._last_error = None
+            return event
+        error = self.reloader.last_error
+        if error == self._last_error and not self.breaker.is_open:
             return None
-        self._last_attempts = 1
-        try:
-            (mtime, size), attempts = retry_call(
-                self._stat_once, self.retry, sleep=self._sleep
-            )
-            self._last_attempts = attempts
-        except OSError as exc:
-            return self._failure(f"stat failed: {exc}", 0.0, dedup=True)
-        self._last_stat_error = None
-        if (mtime, size) == (self._last_mtime, self._last_size):
-            self.breaker.record_success()
-            return None
-        self._last_mtime, self._last_size = mtime, size
+        self._last_error = error
+        return self._emit("change" if self.verifier else "initial", None,
+                          error)
 
-        started = time.perf_counter()
-        try:
-            text, read_attempts = retry_call(
-                self._read_once, self.retry, sleep=self._sleep
-            )
-            self._last_attempts += read_attempts - 1
-            zone = parse_zone_text(text)
-        except (OSError, ValueError) as exc:
-            return self._failure(
-                f"zone parse failed: {exc}",
-                time.perf_counter() - started,
-                reason="change" if self.verifier else "initial",
-            )
-
+    def _verify(self, zone) -> WatchEvent:
+        """The reloader's sink: verify the first zone from scratch, then
+        re-verify each change as a delta."""
         if self.verifier is None:
             self.verifier = IncrementalVerifier(
                 zone, self.version, cache=self.cache,
                 workers=self.workers, options=self.options,
             )
-            outcome = self.verifier.verify_current()
-            reason = "initial"
-        else:
-            outcome = self.verifier.diff_to(zone)
-            reason = "change"
-        self.breaker.record_success()
-        return self._emit(reason, outcome, None, time.perf_counter() - started)
+            return self._emit("initial", self.verifier.verify_current(), None)
+        return self._emit("change", self.verifier.diff_to(zone), None)
 
-    def _failure(self, error: str, latency: float, reason: str = "change",
-                 dedup: bool = False) -> Optional[WatchEvent]:
-        self.breaker.record_failure()
-        if dedup and error == self._last_stat_error and not self.breaker.is_open:
-            # A vanished file is reported once, not on every poll while
-            # absent — but the failing polls still feed the breaker.
-            return None
-        if dedup:
-            self._last_stat_error = error
-        return self._emit(reason, None, error, latency)
-
-    def _health(self) -> Dict[str, object]:
-        return {
-            "attempts": self._last_attempts,
+    def _emit(self, reason, outcome, error) -> WatchEvent:
+        self.sequence += 1
+        health = {
+            "attempts": self.reloader.attempts,
             "consecutive_failures": self.breaker.consecutive_failures,
             "breaker": self.breaker.state,
         }
-
-    def _emit(self, reason, outcome, error, latency) -> WatchEvent:
-        self.sequence += 1
-        event = WatchEvent(
-            self.sequence, reason, outcome, error, latency, self._health()
-        )
+        event = WatchEvent(self.sequence, reason, outcome, error,
+                           time.perf_counter() - self._started, health)
         self.log(json.dumps(event.to_json(), sort_keys=True))
         return event
 

@@ -16,38 +16,47 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
+#: Every key of the per-unit perf record, in record order:
+#: ``(record key, result attribute, key within it)``. :func:`unit_perf`
+#: reads each row off the unit's result (a ``None`` key reads the
+#: attribute itself), :func:`perf_phases` inverts the ``phase_seconds``
+#: rows, and :meth:`PerfCounters.absorb` folds each into the same-named
+#: field — except that ``elapsed_seconds`` sums into ``busy_seconds`` and
+#: ``guards_pruned`` is a max.
+PERF_KEYS = (
+    ("compile_seconds", "phase_seconds", "compile"),
+    ("summarize_seconds", "phase_seconds", "summarize"),
+    ("resolve_seconds", "phase_seconds", "resolve"),
+    ("solve_seconds", "phase_seconds", "solve"),
+    ("elapsed_seconds", "elapsed_seconds", None),
+    ("cache_hits", "cache_stats", "hits"),
+    ("cache_misses", "cache_stats", "misses"),
+    ("solver_checks_avoided", "analysis", "solver_checks_avoided"),
+    ("pruned_guard_hits", "analysis", "pruned_guard_hits"),
+    ("guards_pruned", "analysis", "guards_pruned"),
+    ("guard_prepass_checks", "analysis", "guard_prepass_checks"),
+    ("guard_prepass_unsat", "analysis", "guard_prepass_unsat"),
+)
+
+
+def _zero(key: str):
+    return 0.0 if key.endswith("_seconds") else 0
+
+
+def _field(key: str) -> str:
+    """The :class:`PerfCounters` field a record key folds into."""
+    return "busy_seconds" if key == "elapsed_seconds" else key
+
+
 def unit_perf(result, cache=None) -> Dict[str, float]:
     """The per-unit perf record a worker ships back to the parent."""
-    perf: Dict[str, float] = {
-        "compile_seconds": 0.0,
-        "summarize_seconds": 0.0,
-        "resolve_seconds": 0.0,
-        "solve_seconds": 0.0,
-        "elapsed_seconds": 0.0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "solver_checks_avoided": 0,
-        "pruned_guard_hits": 0,
-        "guards_pruned": 0,
-        "guard_prepass_checks": 0,
-        "guard_prepass_unsat": 0,
-    }
+    perf: Dict[str, float] = {key: _zero(key) for key, _, _ in PERF_KEYS}
     if result is not None:
-        phases = result.phase_seconds or {}
-        perf["compile_seconds"] = phases.get("compile", 0.0)
-        perf["summarize_seconds"] = phases.get("summarize", 0.0)
-        perf["resolve_seconds"] = phases.get("resolve", 0.0)
-        perf["solve_seconds"] = phases.get("solve", 0.0)
-        perf["elapsed_seconds"] = result.elapsed_seconds
-        stats = result.cache_stats or {}
-        perf["cache_hits"] = stats.get("hits", 0)
-        perf["cache_misses"] = stats.get("misses", 0)
-        analysis = getattr(result, "analysis", None) or {}
-        perf["solver_checks_avoided"] = analysis.get("solver_checks_avoided", 0)
-        perf["pruned_guard_hits"] = analysis.get("pruned_guard_hits", 0)
-        perf["guards_pruned"] = analysis.get("guards_pruned", 0)
-        perf["guard_prepass_checks"] = analysis.get("guard_prepass_checks", 0)
-        perf["guard_prepass_unsat"] = analysis.get("guard_prepass_unsat", 0)
+        for key, attr, inner in PERF_KEYS:
+            value = getattr(result, attr, None)
+            if inner is not None:
+                value = (value or {}).get(inner, perf[key])
+            perf[key] = value
     if cache is not None:
         stats = cache.stats()
         perf["cache_hits"] = stats.get("hits", 0)
@@ -60,10 +69,9 @@ def perf_phases(perf: Optional[Dict]) -> Dict[str, float]:
     if not perf:
         return {}
     return {
-        "compile": perf.get("compile_seconds", 0.0),
-        "summarize": perf.get("summarize_seconds", 0.0),
-        "resolve": perf.get("resolve_seconds", 0.0),
-        "solve": perf.get("solve_seconds", 0.0),
+        inner: perf.get(key, 0.0)
+        for key, attr, inner in PERF_KEYS
+        if attr == "phase_seconds"
     }
 
 
@@ -102,22 +110,18 @@ class PerfCounters:
         self.units_completed += 1
         if not perf:
             return
-        self.compile_seconds += perf.get("compile_seconds", 0.0)
-        self.summarize_seconds += perf.get("summarize_seconds", 0.0)
-        self.resolve_seconds += perf.get("resolve_seconds", 0.0)
-        self.solve_seconds += perf.get("solve_seconds", 0.0)
-        self.busy_seconds += perf.get("elapsed_seconds", 0.0)
-        self.cache_hits += int(perf.get("cache_hits", 0))
-        self.cache_misses += int(perf.get("cache_misses", 0))
-        self.solver_checks_avoided += int(perf.get("solver_checks_avoided", 0))
-        self.pruned_guard_hits += int(perf.get("pruned_guard_hits", 0))
-        self.guard_prepass_checks += int(perf.get("guard_prepass_checks", 0))
-        self.guard_prepass_unsat += int(perf.get("guard_prepass_unsat", 0))
-        # Every unit compiles the same modules, so the prune-pass static
-        # is a per-run property, not a per-unit one: max, not sum.
-        self.guards_pruned = max(
-            self.guards_pruned, int(perf.get("guards_pruned", 0))
-        )
+        for key, _, _ in PERF_KEYS:
+            value = perf.get(key, _zero(key))
+            if key.endswith("_seconds"):
+                name = _field(key)
+                setattr(self, name, getattr(self, name) + value)
+            elif key == "guards_pruned":
+                # Every unit compiles the same modules, so the prune-pass
+                # static is a per-run property, not a per-unit one: max,
+                # not sum.
+                self.guards_pruned = max(self.guards_pruned, int(value))
+            else:
+                setattr(self, key, getattr(self, key) + int(value))
 
     def finish(self) -> "PerfCounters":
         self.wall_seconds = time.perf_counter() - self._started
@@ -148,29 +152,27 @@ class PerfCounters:
     def to_json(self) -> Dict:
         hit_rate = self.cache_hit_rate
         efficiency = self.parallel_efficiency
-        return {
+        payload: Dict = {
             "workers": self.workers,
             "units_total": self.units_total,
             "units_completed": self.units_completed,
             "units_replayed": self.units_replayed,
             "units_fallback": self.units_fallback,
             "units_timed_out": self.units_timed_out,
-            "compile_seconds": round(self.compile_seconds, 6),
-            "summarize_seconds": round(self.summarize_seconds, 6),
-            "resolve_seconds": round(self.resolve_seconds, 6),
-            "solve_seconds": round(self.solve_seconds, 6),
-            "busy_seconds": round(self.busy_seconds, 6),
-            "wall_seconds": round(self.wall_seconds, 6),
-            "units_per_second": round(self.units_per_second, 4),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "solver_checks_avoided": self.solver_checks_avoided,
-            "pruned_guard_hits": self.pruned_guard_hits,
-            "guards_pruned": self.guards_pruned,
-            "guard_prepass_checks": self.guard_prepass_checks,
-            "guard_prepass_unsat": self.guard_prepass_unsat,
-            "cache_hit_rate": None if hit_rate is None else round(hit_rate, 4),
-            "parallel_efficiency": (
-                None if efficiency is None else round(efficiency, 4)
-            ),
         }
+        for key, _, _ in PERF_KEYS:
+            name = _field(key)
+            value = getattr(self, name)
+            if key.endswith("_seconds"):
+                value = round(value, 6)
+            payload[name] = value
+            if name == "busy_seconds":
+                payload["wall_seconds"] = round(self.wall_seconds, 6)
+                payload["units_per_second"] = round(self.units_per_second, 4)
+        payload["cache_hit_rate"] = (
+            None if hit_rate is None else round(hit_rate, 4)
+        )
+        payload["parallel_efficiency"] = (
+            None if efficiency is None else round(efficiency, 4)
+        )
+        return payload

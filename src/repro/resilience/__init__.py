@@ -13,7 +13,7 @@ the four pieces that make that true:
   checkpoints with atomic publication;
 - :mod:`repro.resilience.faults` — deterministic fault injection at named
   sites, plus :mod:`repro.resilience.supervise` (retry/backoff, circuit
-  breaker) for the watch daemon.
+  breaker) for the zone tailer.
 """
 
 from repro.resilience.budget import Budget, BudgetExhausted

@@ -1,6 +1,7 @@
 """Supervision primitives: retry with backoff + jitter, circuit breaking.
 
-Used by the watch daemon (and anything else long-running) to absorb
+Used by the zone tailer (:class:`~repro.serve.reload.ZoneReloader`,
+behind both ``repro watch`` and ``repro serve --watch``) to absorb
 transient IO without either hammering a flapping resource or looping
 forever on a permanent one. Jitter is drawn from a seeded PRNG so retry
 schedules are reproducible in tests.
@@ -62,7 +63,7 @@ class CircuitBreaker:
     """Open after ``max_failures`` *consecutive* failures.
 
     The owner checks :attr:`is_open` before doing more work; any success
-    closes the breaker again (the daemon half-opens by construction: a
+    closes the breaker again (the tailer half-opens by construction: a
     poll that succeeds after failures resets the count).
     """
 

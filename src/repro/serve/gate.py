@@ -30,11 +30,12 @@ the GIL.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro.dns.zone import Zone
 from repro.incremental.cache import SummaryCache
@@ -164,6 +165,20 @@ class PublishGate:
                 zone, src, _ = self._queued
                 self._queued = None
             return self._gate_locked(zone, bootstrap=False, source=src)
+
+    def reload_sink(self, path) -> Callable[[Zone], Optional[PublishResult]]:
+        """The sink a :class:`~repro.serve.reload.ZoneReloader` tailing
+        ``path`` feeds: a coalescing submission, so a reload racing an API
+        publish verifies only the newest content."""
+        source = f"reload:{os.fspath(path)}"
+
+        def submit(zone: Zone) -> Optional[PublishResult]:
+            result = self.submit_coalescing(zone, source=source)
+            # Superseded while queued: the superseding submission's
+            # verdict is the gate's latest.
+            return result if result is not None else self.last_result
+
+        return submit
 
     def _gate(self, zone: Zone, bootstrap: bool, source: str) -> PublishResult:
         with self._lock:

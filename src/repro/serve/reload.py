@@ -1,74 +1,87 @@
-"""Zone-file reloading into the publish gate, hardened for production IO.
+"""The one zone-file tailer, hardened for production IO.
 
-:class:`ZoneReloader` tails one zone file the way the watch daemon does
-(mtime+size polling) but feeds the serving plane: a changed file is read
-with retry/backoff (editors and zone transfers rewrite files non-
-atomically; a torn read is transient), parsed, and submitted to the
-:class:`~repro.serve.gate.PublishGate` — where the verify-then-publish
-rule, not the reloader, decides whether the running snapshot advances.
+:class:`ZoneReloader` polls one zone file's mtime+size, reads a changed
+file with retry/backoff (editors and zone transfers rewrite files non-
+atomically; a torn read is transient), parses it, and hands the zone to
+a sink callable. ``repro serve --watch`` passes
+:meth:`~repro.serve.gate.PublishGate.reload_sink`, where the verify-then-
+publish rule decides whether the running snapshot advances; ``repro
+watch`` passes :class:`~repro.incremental.watch.WatchDaemon`'s verify sink.
 
 Failure model, reusing :mod:`repro.resilience`:
 
 - transient ``stat``/read errors retry with exponential backoff and
   deterministic jitter (:class:`~repro.resilience.RetryPolicy`);
-- consecutive failing polls trip a :class:`~repro.resilience.CircuitBreaker`;
-  an open breaker stops the poll loop rather than spinning on a
-  permanently broken path — the server keeps serving its last good
-  snapshot either way;
-- a zone that fails to *parse* counts as a failed poll (malformed input is
-  operationally indistinguishable from a half-written file until it
-  persists); a zone that parses but fails to *verify* is a successful poll
-  whose submission the gate held — that is the gate's alarm, not the
-  reloader's.
+- a failed read or parse does not commit the file's new identity, so the
+  next poll retries it: a torn read heals once the writer finishes, and a
+  persistently malformed file fails every poll;
+- consecutive failing polls trip a :class:`~repro.resilience.CircuitBreaker`,
+  which stops the poll loop rather than spinning on a broken path;
+- a zone that fails to *parse* is a failed poll; a zone that parses but
+  fails to *verify* is a successful poll whose verdict belongs to the sink.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Generic, Optional, TypeVar
 
+from repro.dns.zone import Zone
 from repro.dns.zonefile import parse_zone_text
 from repro.resilience import faults
 from repro.resilience.supervise import CircuitBreaker, RetryPolicy, retry_call
-from repro.serve.gate import PublishGate, PublishResult
+
+R = TypeVar("R")
 
 
-class ZoneReloader:
-    """Poll one zone file; submit changes to the publish gate."""
+class ZoneReloader(Generic[R]):
+    """Poll one zone file; hand each parsed change to ``submit``.
+
+    ``stat_site``/``read_site`` name the fault-injection sites of the
+    caller (``watch.stat``/``watch.read`` for ``repro watch``; the serving
+    plane injects only at ``serve.reload.read``).
+    """
 
     def __init__(
         self,
         path: os.PathLike,
-        gate: PublishGate,
+        submit: Callable[[Zone], R],
         retry: Optional[RetryPolicy] = None,
         max_failures: int = 5,
         sleep: Callable[[float], None] = time.sleep,
+        stat_site: Optional[str] = None,
+        read_site: str = faults.SITE_SERVE_RELOAD_READ,
     ):
         self.path = os.fspath(path)
-        self.gate = gate
+        self.submit = submit
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = CircuitBreaker(max_failures=max_failures)
+        self.stat_site = stat_site
+        self.read_site = read_site
         self._sleep = sleep
         self._last_mtime: Optional[float] = None
         self._last_size: Optional[int] = None
         self.polls = 0
         self.reloads = 0
         self.failures = 0
+        #: stat attempts + read attempts - 1 used by the last poll.
+        self.attempts = 1
         self.last_error: Optional[str] = None
-        self.last_result: Optional[PublishResult] = None
+        self.last_result: Optional[R] = None
 
     # -- one poll ------------------------------------------------------------
 
     def _stat_once(self):
+        if self.stat_site is not None:
+            faults.maybe_raise(self.stat_site)
         st = os.stat(self.path)
         return st.st_mtime, st.st_size
 
     def _read_once(self) -> str:
-        # The serve-time analogue of `watch.read`: a torn/failed read of
-        # the production zone file. retry_call absorbs a transient one;
-        # persistent failures feed the breaker below.
-        faults.maybe_raise(faults.SITE_SERVE_RELOAD_READ)
+        # A torn/failed read of the zone file: retry_call absorbs a
+        # transient one; persistent failures feed the breaker below.
+        faults.maybe_raise(self.read_site)
         with open(self.path, "r", encoding="utf-8") as handle:
             return handle.read()
 
@@ -80,23 +93,27 @@ class ZoneReloader:
         except OSError:
             pass
 
-    def poll_once(self) -> Optional[PublishResult]:
-        """Submit the file to the gate if it changed. Returns the gate's
-        result for a processed change, None for no-change or IO failure
-        (failures feed the breaker and ``last_error``)."""
+    def poll_once(self) -> Optional[R]:
+        """Submit the file if it changed. Returns the sink's result for a
+        processed change, None for no-change, an open breaker or an IO or
+        parse failure (failures feed the breaker and ``last_error``)."""
         if self.breaker.is_open:
             return None
         self.polls += 1
+        self.attempts = 1
         try:
-            (mtime, size), _ = retry_call(self._stat_once, self.retry,
-                                          sleep=self._sleep)
+            (mtime, size), self.attempts = retry_call(
+                self._stat_once, self.retry, sleep=self._sleep
+            )
         except OSError as exc:
             return self._fail(f"stat failed: {exc}")
         if (mtime, size) == (self._last_mtime, self._last_size):
             self.breaker.record_success()
             return None
         try:
-            text, _ = retry_call(self._read_once, self.retry, sleep=self._sleep)
+            text, read_attempts = retry_call(self._read_once, self.retry,
+                                             sleep=self._sleep)
+            self.attempts += read_attempts - 1
             zone = parse_zone_text(text)
         except (OSError, ValueError) as exc:
             # Identity deliberately NOT committed: the next poll sees the
@@ -108,16 +125,8 @@ class ZoneReloader:
         self.breaker.record_success()
         self.last_error = None
         self.reloads += 1
-        # Coalescing: if another submission (an API publish, or a reload
-        # racing one) is already waiting on the gate, the stale delta is
-        # dropped and only the newest content is verified.
-        result = self.gate.submit_coalescing(zone, source=f"reload:{self.path}")
-        if result is None:
-            # Superseded while queued; the superseding submission's
-            # verdict is the gate's latest.
-            result = self.gate.last_result
-        self.last_result = result
-        return result
+        self.last_result = self.submit(zone)
+        return self.last_result
 
     def _fail(self, error: str) -> None:
         self.breaker.record_failure()
@@ -129,7 +138,7 @@ class ZoneReloader:
 
     async def run(self, interval: float = 1.0,
                   max_reloads: Optional[int] = None) -> int:
-        """Async poll loop (each poll runs in a worker thread — the gate
+        """Async poll loop (each poll runs in a worker thread — the sink
         verifies synchronously). Exits when the breaker opens or after
         ``max_reloads`` processed changes; returns the reload count."""
         import asyncio

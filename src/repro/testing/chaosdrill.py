@@ -343,7 +343,7 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
     boot = await server.verify_boot()
 
     reloader = ZoneReloader(
-        zone_path, server.gate,
+        zone_path, server.gate.reload_sink(zone_path),
         retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0),
         sleep=lambda _delay: None,
     )

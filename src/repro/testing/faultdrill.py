@@ -280,7 +280,7 @@ def _drill_serve_reload(version: str) -> SiteOutcome:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(zone_to_text(zone))
         gate = PublishGate(build_snapshot(zone, version))
-        reloader = ZoneReloader(path, gate, retry=retry,
+        reloader = ZoneReloader(path, gate.reload_sink(path), retry=retry,
                                 sleep=lambda _delay: None)
         # One transient read fault: the retry must absorb it and the
         # reload still verify and publish.

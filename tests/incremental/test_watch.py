@@ -108,6 +108,24 @@ class TestWatchDaemon:
         assert event.error is None
         assert event.outcome.result.verified
 
+    def test_torn_read_heals_on_next_poll(self, zone_file):
+        # A failed parse must not mark the file's mtime/size as seen: the
+        # healed file, with the same identity, is verified on the next poll.
+        lines = []
+        daemon = make_daemon(zone_file, lines)
+        daemon.poll_once()
+        healed = ZONE_TEXT.replace("192.0.2.80", "192.0.2.81")
+        zone_file.write_text("x" * len(healed))
+        os.utime(zone_file, (2000, 2000))
+        event = daemon.poll_once()
+        assert event is not None and event.error is not None
+        zone_file.write_text(healed)
+        os.utime(zone_file, (2000, 2000))
+        event = daemon.poll_once()
+        assert event is not None and event.error is None
+        assert event.outcome.result.verified
+        assert json.loads(lines[-1])["reuse"]["recomputed_keys"] == ["sub:www"]
+
     def test_run_with_max_updates(self, zone_file):
         lines = []
         daemon = make_daemon(zone_file, lines)
@@ -185,6 +203,30 @@ class TestWatchSupervision:
         assert daemon.poll_once() is None  # open breaker: no more work
         # run() must exit instead of spinning on a dead input.
         assert daemon.run(max_updates=10) == 0
+
+    def test_persistently_malformed_file_opens_breaker(self, zone_file):
+        lines = []
+        zone_file.write_text("not a zone {{{")
+        daemon = self.make_supervised(zone_file, lines, max_failures=3)
+        first = daemon.poll_once()
+        assert first is not None and first.error is not None
+        assert daemon.poll_once() is None  # same error: deduped, counted
+        event = daemon.poll_once()
+        assert event is not None and event.health["breaker"] == "open"
+        assert daemon.breaker.is_open
+        assert len(lines) == 2
+        assert daemon.run(max_updates=10) == 0
+
+    def test_cli_exits_2_on_persistently_malformed_file(self, zone_file,
+                                                        capsys):
+        from repro import cli
+
+        zone_file.write_text("not a zone {{{")
+        rc = cli.main(["watch", "--zone", str(zone_file),
+                       "--max-failures", "2", "--interval", "0.01"])
+        assert rc == 2
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.loads(last)["health"]["breaker"] == "open"
 
     def test_jitter_schedule_is_deterministic(self):
         from repro.resilience.supervise import RetryPolicy

@@ -22,7 +22,7 @@ def make_reloader(tmp_path, version="verified", **kwargs):
     gate = PublishGate(build_snapshot(zone, version))
     kwargs.setdefault("retry", FAST_RETRY)
     kwargs.setdefault("sleep", lambda _s: None)
-    return path, gate, ZoneReloader(path, gate, **kwargs)
+    return path, gate, ZoneReloader(path, gate.reload_sink(path), **kwargs)
 
 
 class TestPoll:
