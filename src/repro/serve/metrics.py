@@ -2,9 +2,11 @@
 
 Plain integer counters (atomic enough under the GIL for the single-loop
 asyncio server; the only cross-thread writer is the publish gate, which
-touches its own fields). ``qps`` is computed over a sliding window of
-recent query timestamps so the status channel reports current load, not
-lifetime average. The clock is injectable for deterministic tests.
+touches its own fields). ``qps`` is computed over a window of recent
+0.1 s ticks so the status channel reports current load, not lifetime
+average; the window is a fixed ring of per-tick counters, so it costs the
+same memory at 10 qps as at 100k. The clock is injectable for
+deterministic tests.
 
 Conservation
 ------------
@@ -28,8 +30,14 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict
 
-#: Sliding-window length for the qps figure, seconds.
+#: Window length for the qps figure, seconds.
 QPS_WINDOW_SECONDS = 5.0
+
+#: Granularity of the qps window: queries are counted per tick of
+#: 1/QPS_TICKS_PER_SECOND s, and a query leaves the window together with
+#: the rest of its tick. (Ticks are taken as ``int(now * rate)``, not
+#: ``now // 0.1``: float floor division by 0.1 puts 5.0 in tick 49.)
+QPS_TICKS_PER_SECOND = 10
 
 #: Sample size for the recent-SERVFAIL-rate overload signal.
 ERROR_RATE_WINDOW = 128
@@ -42,7 +50,11 @@ class ServerMetrics:
                  window: float = QPS_WINDOW_SECONDS):
         self._clock = clock
         self._window = window
-        self._recent: Deque[float] = deque()
+        slots = max(1, round(window * QPS_TICKS_PER_SECOND))
+        #: Ring of per-tick query counts; slot ``t % slots`` holds tick
+        #: ``t`` when ``_tick_of[slot] == t`` and is stale otherwise.
+        self._tick_counts = [0] * slots
+        self._tick_of = [-1] * slots
         self._recent_errors: Deque[bool] = deque(maxlen=ERROR_RATE_WINDOW)
         self.started_at = clock()
         self.queries_udp = 0
@@ -78,11 +90,13 @@ class ServerMetrics:
             self.queries_tcp += 1
         else:
             self.queries_udp += 1
-        now = self._clock()
-        self._recent.append(now)
-        floor = now - self._window
-        while self._recent and self._recent[0] < floor:
-            self._recent.popleft()
+        tick = int(self._clock() * QPS_TICKS_PER_SECOND)
+        slot = tick % len(self._tick_of)
+        if self._tick_of[slot] == tick:
+            self._tick_counts[slot] += 1
+        else:
+            self._tick_of[slot] = tick
+            self._tick_counts[slot] = 1
 
     def count_rcode(self, rcode_value: int) -> None:
         self.responses += 1
@@ -113,16 +127,17 @@ class ServerMetrics:
         )
 
     def qps(self) -> float:
-        """Queries per second over the sliding window. Divides by the
-        full window length, not the observed span: with one or two fresh
-        samples the span is near zero and count/span would explode to
-        absurd rates (and slam the overload ladder to DROP on the first
-        packet of a quiet second)."""
-        now = self._clock()
-        floor = now - self._window
-        while self._recent and self._recent[0] < floor:
-            self._recent.popleft()
-        return len(self._recent) / self._window
+        """Queries per second over the window: the current tick and the
+        ones before it, one window's worth. Divides by the full window
+        length, not the observed span: with one or two fresh samples the
+        span is near zero and count/span would explode to absurd rates
+        (and slam the overload ladder to DROP on the first packet of a
+        quiet second)."""
+        tick = int(self._clock() * QPS_TICKS_PER_SECOND)
+        oldest = tick - len(self._tick_of)
+        total = sum(count for count, counted in
+                    zip(self._tick_counts, self._tick_of) if counted > oldest)
+        return total / self._window
 
     def recent_error_rate(self) -> float:
         """SERVFAIL fraction over the last ``ERROR_RATE_WINDOW`` replies

@@ -8,12 +8,19 @@ serving path after they re-verify (see :mod:`repro.serve.gate`).
 Transports
 ----------
 
-- **UDP** (RFC 1035 4.2.1): one datagram in, one datagram out. Malformed
-  packets shorter than a header are dropped (there is nothing safe to echo
-  back), as are messages with QR=1 (answering a response would start a
-  reflection loop, RFC 1035 7.1); other parse failures past the header
-  return FORMERR; engine failures return SERVFAIL. Every branch
-  increments a metric.
+- **UDP** (RFC 1035 4.2.1): one datagram in, one datagram out, served by
+  a single event-loop reader callback (:meth:`ZoneServer.read_datagrams`)
+  on the non-blocking socket — no asyncio datagram transport in between.
+  Each wakeup answers at most :data:`UDP_BATCH` datagrams, then returns
+  to the loop, so a flood cannot starve TCP, the status channel, the
+  reloader or the self-check task. Malformed packets shorter than a
+  header are dropped (there is nothing safe to echo back), as are
+  messages with QR=1 (answering a response would start a reflection
+  loop, RFC 1035 7.1); other parse failures past the header return
+  FORMERR; engine failures return SERVFAIL. A reply ``sendto`` cannot
+  deliver — a full kernel send buffer (``EAGAIN``) included — is
+  dropped and counted in ``send_failures``; the client retries. Every
+  branch increments a metric.
 - **TCP** (RFC 1035 4.2.2): two-byte length framing, many pipelined
   queries per connection, mid-message disconnects tolerated. A rate-limit
   drop closes the connection (the TCP analogue of dropping a datagram).
@@ -22,7 +29,8 @@ Transports
   qps and drop counters, self-check state — then closes. ``nc host port``
   is the whole monitoring client.
 
-The query path is synchronous and runs directly on the event loop. A
+The query path is synchronous and runs directly on the event loop, called
+by the UDP reader per datagram and by the TCP handler per frame. A
 question the current snapshot has answered before is a dictionary hit on
 its answer memo (:attr:`ServingSnapshot.answers`, keyed by the query bytes
 after the transaction id): the cached reply tail goes out behind the new
@@ -73,6 +81,17 @@ MIN_QUERY_LENGTH = 12
 #: stream of distinct questions costs one clear per this many misses.
 ANSWER_CACHE_CAP = 2048
 
+#: Datagrams read per wakeup of the UDP reader. A flood keeps the UDP
+#: socket readable forever; returning to the loop after this many lets
+#: TCP, the status channel, the reloader and the self-check task run
+#: between batches, while one wakeup still amortises the loop's
+#: selector round over many queries.
+UDP_BATCH = 64
+
+#: ``recvfrom`` buffer size: the UDP payload ceiling, so no datagram is
+#: silently cut short on read.
+MAX_DATAGRAM = 65535
+
 #: Default slowloris guard: a TCP connection that completes no frame for
 #: this long is closed and counted (``None`` disables).
 DEFAULT_TCP_IDLE_TIMEOUT = 30.0
@@ -122,26 +141,6 @@ def _bind_socket_pair(host: str, port: int,
         f"no free matching UDP+TCP port pair on {host} "
         f"after {attempts} attempts"
     ) from last_error
-
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    def __init__(self, server: "ZoneServer"):
-        self.server = server
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        reply = self.server.handle_packet(data, addr[0], transport="udp")
-        if reply:
-            try:
-                # `serve.udp.send` simulates sendto failing under memory
-                # or buffer pressure; the reply is lost, the loop lives.
-                faults.maybe_raise(faults.SITE_SERVE_UDP_SEND)
-                self.transport.sendto(reply, addr)
-            except OSError:
-                self.server.metrics.send_failures += 1
 
 
 class ZoneServer:
@@ -212,7 +211,7 @@ class ZoneServer:
         self.degrade = degrade
         self.tcp_idle_timeout = tcp_idle_timeout
         self._inflight_tcp = 0
-        self._udp_transport = None
+        self._udp_sock: Optional[socket.socket] = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._status_server: Optional[asyncio.AbstractServer] = None
         self._selfcheck_task: Optional[asyncio.Task] = None
@@ -324,6 +323,35 @@ class ZoneServer:
         self.metrics.count_rcode(rcode)
         return wire
 
+    def read_datagrams(self, sock) -> None:
+        """The UDP reader callback: answer up to :data:`UDP_BATCH`
+        datagrams waiting on the non-blocking ``sock``, then yield to the
+        loop. Each goes through :meth:`handle_packet`, looked up once per
+        wakeup rather than bound at start() so a wrapper installed on the
+        class (tracing) sees every query."""
+        handle = self.handle_packet
+        for _ in range(UDP_BATCH):
+            try:
+                data, addr = sock.recvfrom(MAX_DATAGRAM)
+            except (BlockingIOError, InterruptedError):
+                return  # drained: wait for the next wakeup
+            except OSError:
+                # A queued ICMP error (say, port unreachable for an
+                # earlier reply) surfaces here; it costs that one read,
+                # never the reader.
+                continue
+            reply = handle(data, addr[0], "udp")
+            if reply:
+                try:
+                    # `serve.udp.send` simulates sendto failing under
+                    # memory or buffer pressure. A full send buffer
+                    # (EAGAIN) is the same case for real: the reply is
+                    # lost, the client retries, the loop lives.
+                    faults.maybe_raise(faults.SITE_SERVE_UDP_SEND)
+                    sock.sendto(reply, addr)
+                except OSError:
+                    self.metrics.send_failures += 1
+
     def resolve(self, query: Query) -> Response:
         """Resolve without the wire layer (tests, benchmarks)."""
         return self.gate.snapshot.resolve(query)
@@ -406,9 +434,9 @@ class ZoneServer:
         await self._recover_if_needed()
         udp_sock, tcp_sock = _bind_socket_pair(self.host, self.port)
         self.port = udp_sock.getsockname()[1]
-        self._udp_transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self), sock=udp_sock
-        )
+        udp_sock.setblocking(False)
+        self._udp_sock = udp_sock
+        loop.add_reader(udp_sock, self.read_datagrams, udp_sock)
         self._tcp_server = await asyncio.start_server(
             self._serve_tcp, sock=tcp_sock
         )
@@ -420,6 +448,15 @@ class ZoneServer:
         if self.selfcheck is not None and self.selfcheck_interval:
             self._selfcheck_task = asyncio.ensure_future(self._selfcheck_loop())
 
+    def _close_udp(self) -> None:
+        """Unregister the UDP reader, then close its socket (the reader
+        must go first: a closed socket no longer has a descriptor to
+        unregister). A second call is a no-op."""
+        sock, self._udp_sock = self._udp_sock, None
+        if sock is not None:
+            asyncio.get_running_loop().remove_reader(sock)
+            sock.close()
+
     async def stop(self) -> None:
         if self._selfcheck_task is not None:
             self._selfcheck_task.cancel()
@@ -428,9 +465,7 @@ class ZoneServer:
             except asyncio.CancelledError:
                 pass
             self._selfcheck_task = None
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
+        self._close_udp()
         for server in (self._tcp_server, self._status_server):
             if server is not None:
                 server.close()
@@ -447,13 +482,11 @@ class ZoneServer:
             self._stopping.set()
 
     async def drain(self, grace: float = 5.0) -> None:
-        """Graceful shutdown: stop accepting (close the UDP transport and
+        """Graceful shutdown: stop accepting (close the UDP socket and
         the TCP listener), let in-flight TCP connections finish for up to
         ``grace`` seconds, then tear everything down. The journal needs
         no explicit flush — every append fsyncs before returning."""
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
+        self._close_udp()
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()

@@ -46,6 +46,7 @@ import asyncio
 import json
 import os
 import random
+import socket
 import struct
 import tempfile
 import time
@@ -205,18 +206,37 @@ class ChaosDrillReport:
         }
 
 
-class _DrillClient(asyncio.DatagramProtocol):
-    """Fire-and-forget UDP sender that counts whatever comes back."""
+class _DrillClient:
+    """Fire-and-forget UDP sender that counts whatever comes back: a
+    connected non-blocking socket whose loop reader drains replies."""
 
-    def __init__(self):
-        self.transport = None
+    def __init__(self, host: str, port: int):
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.sock = socket.socket(family, socket.SOCK_DGRAM)
+        self.sock.connect((host, port))
+        self.sock.setblocking(False)
         self.replies = 0
+        asyncio.get_running_loop().add_reader(self.sock, self._read)
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
+    def send(self, wire: bytes) -> None:
+        try:
+            self.sock.send(wire)
+        except OSError:
+            pass  # a full buffer or a queued ICMP error: the query is lost
 
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.replies += 1
+    def _read(self) -> None:
+        while True:
+            try:
+                self.sock.recv(65535)
+            except OSError:
+                # Drained, or a queued ICMP error: either way the loop
+                # calls again while replies remain (level-triggered).
+                return
+            self.replies += 1
+
+    def close(self) -> None:
+        asyncio.get_running_loop().remove_reader(self.sock)
+        self.sock.close()
 
 
 async def _tcp_drive(host: str, port: int, wires: List[bytes],
@@ -358,10 +378,7 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
     plan = faults.FaultPlan.seeded(
         config.seed, rate=config.fault_rate, sites=faults.SERVE_SITES
     )
-    client: _DrillClient
-    udp_transport, client = await loop.create_datagram_endpoint(
-        _DrillClient, remote_addr=(server.host, server.port)
-    )
+    client = _DrillClient(server.host, server.port)
 
     tcp_wires: List[bytes] = []
     tcp_replies = 0
@@ -386,7 +403,7 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
                     )
                     tcp_wires = []
             else:
-                client.transport.sendto(wire)
+                client.send(wire)
             sent += 1
             if i % 13 == 0:
                 await asyncio.sleep(0)  # let the loop deliver datagrams
@@ -437,7 +454,7 @@ async def _soak(config: ChaosDrillConfig, workdir: str) -> ChaosDrillReport:
     gate_health = server.gate.health()
     degrade_state = (server.degrade.as_dict()
                      if server.degrade is not None else None)
-    udp_transport.close()
+    client.close()
     await server.drain(config.grace)
 
     # -- restart over the same journal ---------------------------------------

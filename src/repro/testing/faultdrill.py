@@ -172,13 +172,31 @@ def _drill_watch(site: str, version: str) -> SiteOutcome:
     )
 
 
-class _SendRecorder:
-    """A stand-in datagram transport that remembers what was sent."""
+class ScriptedUdpSocket:
+    """A stand-in for the server's non-blocking UDP socket, to drive
+    :meth:`~repro.serve.server.ZoneServer.read_datagrams` without a
+    network. ``reads`` is what successive ``recvfrom`` calls yield: a
+    ``(data, addr)`` pair is returned, an exception instance is raised;
+    once they run out, ``recvfrom`` raises :class:`BlockingIOError` as a
+    drained socket does. ``send_error``, if given, is raised by every
+    ``sendto``; otherwise ``sent`` records each ``(data, addr)``."""
 
-    def __init__(self):
+    def __init__(self, reads, send_error=None):
+        self._reads = list(reads)
+        self.send_error = send_error
         self.sent = []
 
+    def recvfrom(self, _bufsize):
+        if not self._reads:
+            raise BlockingIOError
+        item = self._reads.pop(0)
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
     def sendto(self, data, addr) -> None:
+        if self.send_error is not None:
+            raise self.send_error
         self.sent.append((data, addr))
 
 
@@ -186,7 +204,7 @@ def _drill_serve_udp(site: str, version: str) -> SiteOutcome:
     from repro.dns.message import Query
     from repro.dns.rtypes import RRType
     from repro.dns.wire import build_query
-    from repro.serve.server import ZoneServer, _UdpProtocol
+    from repro.serve.server import ZoneServer
     from repro.zonegen import corpus
 
     zone = corpus.minimal_zone()
@@ -200,10 +218,9 @@ def _drill_serve_udp(site: str, version: str) -> SiteOutcome:
             verdict = "dropped"
             detail = f"dropped_fault={server.metrics.dropped_fault}"
         else:  # serve.udp.send: the reply is built, delivery fails
-            proto = _UdpProtocol(server)
-            proto.transport = _SendRecorder()
-            proto.datagram_received(wire, ("198.51.100.1", 12345))
-            ok = server.metrics.send_failures == 1 and not proto.transport.sent
+            sock = ScriptedUdpSocket([(wire, ("198.51.100.1", 12345))])
+            server.read_datagrams(sock)
+            ok = server.metrics.send_failures == 1 and not sock.sent
             verdict = "reply-lost"
             detail = f"send_failures={server.metrics.send_failures}"
     conserved = bool(server.metrics.conservation()["conserved"])

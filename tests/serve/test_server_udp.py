@@ -1,8 +1,11 @@
 """ZoneServer over real asyncio loopback UDP, plus the status channel."""
 
 import asyncio
+import gc
 import json
+import socket
 import struct
+import warnings
 
 from repro.dns.message import Query
 from repro.dns.name import DnsName
@@ -10,6 +13,8 @@ from repro.dns.rtypes import RCode, RRType
 from repro.dns.wire import build_query, parse_response
 from repro.dns.zonefile import parse_zone_text
 from repro.serve import ZoneServer
+from repro.serve.server import UDP_BATCH
+from repro.testing.faultdrill import ScriptedUdpSocket
 from repro.zonegen import evaluation_zone
 from repro.zonegen.corpus import MINIMAL_ZONE_TEXT
 
@@ -162,6 +167,167 @@ class TestUdpQueries:
             assert server.metrics.dropped_malformed == 1
 
         with_server(run)
+
+
+def flood_socket(server, rcvbuf=1 << 20):
+    """A non-blocking client socket aimed at the server's UDP port."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.connect((server.host, server.port))
+    sock.setblocking(False)
+    return sock
+
+
+async def tcp_query(server, wire, timeout=5.0):
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(struct.pack("!H", len(wire)) + wire)
+        await writer.drain()
+        (length,) = struct.unpack(
+            "!H", await asyncio.wait_for(reader.readexactly(2), timeout))
+        return await asyncio.wait_for(reader.readexactly(length), timeout)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+CLIENT = ("198.51.100.7", 5300)
+
+
+class TestUdpReader:
+    def test_back_to_back_burst_larger_than_a_batch(self):
+        count = 200
+        assert count > UDP_BATCH  # the burst spans several wakeups
+
+        async def run(server):
+            loop = asyncio.get_running_loop()
+            sock = flood_socket(server)
+            try:
+                for i in range(count):
+                    sock.send(query_wire("www.example.com.", txid=i))
+                txids = set()
+                for _ in range(count):
+                    reply = await asyncio.wait_for(
+                        loop.sock_recv(sock, 65535), 5.0)
+                    txid, response = parse_response(reply)
+                    assert response.rcode is RCode.NOERROR
+                    txids.add(txid)
+            finally:
+                sock.close()
+            assert txids == set(range(count))
+            assert server.metrics.queries_udp == count
+            assert server.metrics.conservation()["conserved"]
+
+        with_server(run)
+
+    def test_tcp_and_status_complete_during_a_udp_flood(self):
+        async def run(server):
+            sock = flood_socket(server)
+            wire = query_wire("www.example.com.")
+            sent = 0
+            flooding = True
+
+            async def flood():
+                nonlocal sent
+                while flooding:
+                    for _ in range(UDP_BATCH):
+                        try:
+                            sock.send(wire)
+                            sent += 1
+                        except BlockingIOError:
+                            break
+                    while True:  # discard replies; only the flood matters
+                        try:
+                            sock.recv(65535)
+                        except BlockingIOError:
+                            break
+                    await asyncio.sleep(0)
+
+            task = asyncio.ensure_future(flood())
+            try:
+                await asyncio.sleep(0.05)
+                before = server.metrics.queries_udp
+                assert before > 0
+                _, response = parse_response(await tcp_query(server, wire))
+                assert response.rcode is RCode.NOERROR
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.status_port)
+                line = await asyncio.wait_for(reader.readline(), 5.0)
+                writer.close()
+                await writer.wait_closed()
+                assert json.loads(line)["metrics"]["queries_tcp"] == 1
+                # The flood kept being answered throughout.
+                assert server.metrics.queries_udp > before
+            finally:
+                flooding = False
+                await task
+                sock.close()
+            assert sent > UDP_BATCH
+
+        with_server(run, status_port=0)
+
+    def test_stop_closes_the_socket_and_frees_the_port(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            first = ZoneServer(evaluation_zone(), status_port=None)
+            await first.start()
+            port = first.port
+            sock = first._udp_sock
+            fd = sock.fileno()
+            await first.stop()
+            await first.stop()  # a second stop is a no-op
+            assert sock.fileno() == -1  # closed
+            assert not loop.remove_reader(fd)  # no reader left behind
+            second = ZoneServer(evaluation_zone(), port=port,
+                                status_port=None)
+            await second.start()
+            try:
+                assert second.port == port
+                reply = await udp_query(second, query_wire("www.example.com."))
+                assert parse_response(reply)[1].rcode is RCode.NOERROR
+            finally:
+                await second.stop()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            asyncio.run(main())
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_one_batch_per_wakeup(self):
+        server = ZoneServer(evaluation_zone(), status_port=None)
+        wire = query_wire("www.example.com.")
+        sock = ScriptedUdpSocket([(wire, CLIENT)] * (UDP_BATCH + 10))
+        server.read_datagrams(sock)
+        assert len(sock.sent) == UDP_BATCH  # the rest wait for the loop
+        server.read_datagrams(sock)
+        assert len(sock.sent) == UDP_BATCH + 10
+
+    def test_recv_error_does_not_stop_the_reader(self):
+        # A queued ICMP port-unreachable surfaces as ECONNREFUSED on the
+        # next recvfrom: that read is lost, the datagram behind it is not.
+        server = ZoneServer(evaluation_zone(), status_port=None)
+        wire = query_wire("www.example.com.", txid=0x4242)
+        sock = ScriptedUdpSocket([ConnectionRefusedError(), (wire, CLIENT)])
+        server.read_datagrams(sock)
+        assert len(sock.sent) == 1
+        reply, addr = sock.sent[0]
+        assert addr == CLIENT
+        assert parse_response(reply)[0] == 0x4242
+        assert server.metrics.queries_udp == 1
+        assert server.metrics.conservation()["conserved"]
+
+    def test_full_send_buffer_counts_a_send_failure(self):
+        # EAGAIN on sendto drops the reply (the client retries): the
+        # reply was built and counted, so the ledger still balances.
+        server = ZoneServer(evaluation_zone(), status_port=None)
+        sock = ScriptedUdpSocket([(query_wire("www.example.com."), CLIENT)],
+                                 send_error=BlockingIOError())
+        server.read_datagrams(sock)
+        assert server.metrics.send_failures == 1
+        assert server.metrics.responses == 1
+        assert server.metrics.conservation()["conserved"]
 
 
 class TestRateLimit:
