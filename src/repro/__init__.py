@@ -32,7 +32,7 @@ The package is organised bottom-up:
 - :mod:`repro.parallel` — process-pool executor for campaigns and
   partitioned verifies, deterministic across worker counts.
 - :mod:`repro.resilience` — typed verdicts, budgets, checkpoints, faults.
-- :mod:`repro.incremental` — zone deltas, summary cache, watch daemon.
+- :mod:`repro.incremental` — zone deltas, verdict cache, watch daemon.
 - :mod:`repro.testing` — SCALE-style differential tester used to validate
   counterexamples.
 - :mod:`repro.reporting` — regeneration of the paper's tables and figures.

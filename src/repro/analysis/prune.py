@@ -199,8 +199,8 @@ def prune_module(module: Module, widen_after: int = 8,
 
     Function order is the module's insertion order, and every fresh name
     the analysis mints is derived from stable program points, so repeated
-    runs produce identical IR — a requirement for the content-addressed
-    summary cache. Pass ``summaries`` (an interprocedural summary table)
+    runs produce identical IR — a requirement for bit-identical verdicts
+    and counters across runs. Pass ``summaries`` (an interprocedural summary table)
     to let proofs cross call sites.
     """
     report = PruneReport()

@@ -65,8 +65,8 @@ def load_zone(source: Union[Zone, str], origin: Optional[str] = None) -> Zone:
 class Session:
     """Run-scoped verification state: one cache, one options bundle.
 
-    ``cache_dir=None`` keeps the cache in memory — repeated verifies of
-    the same zone within the session still replay their summaries, but
+    ``cache_dir=None`` keeps the cache in memory — a repeated verify of
+    the same zone within the session replays its stored verdict, but
     nothing touches disk. ``budget`` is the per-unit wall-clock deadline
     in seconds (the keyword mirrors the CLI's ``--budget-seconds``);
     ``workers=None`` runs in-process (a verify monolithically), any
@@ -253,8 +253,8 @@ class Session:
     ):
         """A :class:`~repro.serve.ZoneServer` serving ``zone`` with
         ``version``, its publish gate wired to this session's cache and
-        worker/budget options (so gated re-verifications replay from the
-        same summary cache the session's verifies warm). Returned
+        worker/budget options (so gated re-verifications replay partition
+        verdicts from the session's cache). Returned
         un-started: ``await server.start()`` inside a running loop, or
         ``asyncio.run(server.run_forever())``. Zone updates go through
         ``await server.publish(new_zone)`` and only take effect when the

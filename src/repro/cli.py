@@ -54,7 +54,7 @@ def _runtime_parent() -> argparse.ArgumentParser:
     group.add_argument("--fuel", type=int, default=None,
                        help="symbolic step budget; exhaustion yields UNKNOWN")
     group.add_argument("--cache", default=None, metavar="DIR",
-                       help="persistent summary/refinement cache directory "
+                       help="persistent verdict cache directory "
                        "(safe to share between concurrent workers)")
     group.add_argument("--json", action="store_true",
                        help="machine-readable output (verdicts, layer/phase "

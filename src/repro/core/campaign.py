@@ -207,7 +207,9 @@ def run_unit(
     workers call it (:func:`repro.parallel.worker.campaign_unit_worker`),
     in-process or not, which is what makes verdicts bit-identical across
     worker counts. Without ``base_zone`` the unit is one from-scratch
-    :class:`VerificationSession`; with it (a campaign *mutation* unit) the
+    :class:`VerificationSession` (through
+    :func:`~repro.incremental.engine.verify_cached` when a ``cache`` is
+    given); with it (a campaign *mutation* unit) the
     base is verified through the incremental engine, warming its
     partition verdicts, and the unit's verdict is that of adopting
     ``zone`` via :meth:`IncrementalVerifier.diff_to`. ``options.smoke_first``
@@ -218,7 +220,7 @@ def run_unit(
     perf statistics, and, for mutation units, the partition-reuse counts
     (telemetry only: they depend on cache warmth).
     """
-    from repro.incremental.engine import IncrementalVerifier
+    from repro.incremental.engine import IncrementalVerifier, verify_cached
 
     started = time.perf_counter()
     divergences = 0
@@ -227,9 +229,11 @@ def run_unit(
         if options.smoke_first:
             smoke = differential_test(zone, version, check_reference=False)
             divergences = len(smoke.divergences)
-        if base_zone is None:
+        if base_zone is None and cache is not None:
+            result = verify_cached(zone, version, options, cache)
+        elif base_zone is None:
             result = VerificationSession(
-                zone, version, cache=cache, budget=options.make_budget(),
+                zone, version, budget=options.make_budget(),
                 **options.session_kwargs(),
             ).verify(use_summaries=options.use_summaries)
         else:

@@ -24,13 +24,20 @@ from repro.symex.state import PathState
 from repro.symex.values import ListVal, Pointer
 
 
+def encoding_depth(zone, depth: Optional[int] = None) -> int:
+    """The number of symbolic labels a query on ``zone`` gets: ``depth``
+    when given, else two more than the zone's deepest name, capped at
+    the DNS maximum."""
+    base = depth if depth is not None else zone.max_name_depth() + 2
+    return min(base, MAX_NAME_DEPTH)
+
+
 class QueryEncoding:
     """The symbolic (qname, qtype) input and its global constraints."""
 
     def __init__(self, encoder: ZoneEncoder, depth: Optional[int] = None):
         self.encoder = encoder
-        zone_depth = encoder.zone.max_name_depth()
-        self.depth = min(depth if depth is not None else zone_depth + 2, MAX_NAME_DEPTH)
+        self.depth = encoding_depth(encoder.zone, depth)
         self.labels: List[IntExpr] = [ivar(f"n{i}") for i in range(self.depth)]
         self.name_len = ivar("nameLen")
         self.qtype = ivar("qtype")

@@ -176,6 +176,8 @@ class VerificationResult:
     bugs: List[BugReport] = field(default_factory=list)
     layers: List[LayerResult] = field(default_factory=list)
     refinement: Optional[RefinementReport] = None
+    #: Wall time of ``verify()``; a session's first verify also carries
+    #: its compile and analysis time.
     elapsed_seconds: float = 0.0
     solver_checks: int = 0
     spurious_mismatches: int = 0
@@ -186,10 +188,12 @@ class VerificationResult:
     error_detail: str = ""
     partial: Optional[Dict[str, object]] = None
     #: Per-phase seconds — feeds the parallel executor's perf counters and
-    #: the ``--json`` output. ``compile`` is the frontend, ``summarize``
-    #: the wall time of the summarized layers and ``resolve`` that of the
-    #: Resolve layer; ``solve`` is the time spent inside ``Solver.check``
-    #: during both, so it overlaps them rather than adding to them.
+    #: the ``--json`` output. ``compile`` is the frontend plus the static
+    #: analysis, charged (like ``elapsed_seconds``) to a session's first
+    #: verify only; ``summarize`` is the wall time of the summarized
+    #: layers and ``resolve`` that of the Resolve layer; ``solve`` is the
+    #: time spent inside ``Solver.check`` during both, so it overlaps them
+    #: rather than adding to them.
     #: Timing-only: never part of any canonical/deterministic projection.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Static-analysis accounting (None when the run predates the pass):
@@ -253,25 +257,24 @@ class VerificationSession:
         solver: Optional[Solver] = None,
         max_paths: int = 200000,
         max_steps: int = 20_000_000,
-        cache=None,
         budget: Optional[Budget] = None,
         analysis: bool = True,
         analysis_check: bool = False,
     ):
         self.zone = zone
         self.version = version
-        self.cache = cache  # Optional[repro.incremental.cache.SummaryCache]
         self.budget = budget
         if budget is not None:
             budget.start()
-        self._layer_routes: Dict[str, str] = {}
         self.analysis_enabled = analysis
         self.encoder = ZoneEncoder(zone)
         self.tree_go = control.build_domain_tree(self.encoder)
         self.flat_go = control.build_flat_zone(self.encoder)
         compile_started = time.perf_counter()
         modules = compile_engine_modules(version, analysis=analysis)
-        self.compile_seconds = time.perf_counter() - compile_started
+        #: Compile (and analysis) seconds not yet charged to a result: the
+        #: first ``verify()`` adds them to its wall time and ``compile`` phase.
+        self._uncharged_compile = time.perf_counter() - compile_started
         self.prune_report = None
         self.summary_digest: Optional[str] = None
         if analysis:
@@ -287,7 +290,7 @@ class VerificationSession:
                     self.prune_report.merge(module_report)
                 digests.append(getattr(module, "summary_digest", ""))
             # One digest over the whole module set's summary tables; rides
-            # the cache keys and the result telemetry.
+            # the result telemetry.
             self.summary_digest = hashlib.sha256(
                 "|".join(digests).encode()
             ).hexdigest()
@@ -309,7 +312,7 @@ class VerificationSession:
         self.engine_resp_ptr = self.executor.new_object(self.state, "Response")
         self.spec_resp_ptr = self.executor.new_object(self.state, "Response")
 
-    # -- restriction and cache keys --------------------------------------------
+    # -- restriction ------------------------------------------------------------
 
     def restrict(self, extra_pre: Sequence) -> None:
         """Conjoin extra constraints onto the global precondition (the
@@ -317,69 +320,16 @@ class VerificationSession:
         partition this way). Call before any summarization."""
         self.pre = self.pre + list(extra_pre)
 
-    def _cache_key_base(self) -> Dict[str, object]:
-        from repro.incremental.digest import (
-            digest_text,
-            engine_digest,
-            layers_digest,
-            zone_digest,
-        )
-
-        return {
-            "engine": engine_digest(self.version),
-            "layers": layers_digest(),
-            "zone": zone_digest(self.zone),
-            "depth": self.query_encoding.depth,
-            "pre": digest_text(*[repr(f) for f in self.pre]),
-            # Pruned and unpruned runs produce identical verdicts but
-            # different counters; keying keeps each config's entries
-            # internally consistent. The summary digest folds in the
-            # interprocedural tables (and their schema version), so a
-            # domain change invalidates entries built on old proofs.
-            "analysis": (
-                f"on:{self.summary_digest}" if self.analysis_enabled
-                else "off"
-            ),
-        }
-
     # -- layered verification --------------------------------------------------
 
     def summarize_layer(self, layer: LayerConfig) -> Summary:
-        summary = None
-        key = None
-        if self.cache is not None:
-            from repro.incremental.serialize import (
-                SerializationError,
-                summary_from_json,
-            )
-
-            key = dict(self._cache_key_base(), function=layer.function)
-            payload = self.cache.get("summary", key)
-            if payload is not None:
-                try:
-                    summary = summary_from_json(payload, layer.params(self))
-                    self._layer_routes[layer.function] = "cache"
-                except (SerializationError, KeyError, TypeError):
-                    summary = None
-        if summary is None:
-            summary = summarize(
-                self.executor,
-                layer.function,
-                layer.params(self),
-                state=self.state,
-                pre=self.pre,
-            )
-            self._layer_routes[layer.function] = "summarize"
-            if self.cache is not None:
-                from repro.incremental.serialize import (
-                    SerializationError,
-                    summary_to_json,
-                )
-
-                try:
-                    self.cache.put("summary", key, summary_to_json(summary))
-                except SerializationError:
-                    pass
+        summary = summarize(
+            self.executor,
+            layer.function,
+            layer.params(self),
+            state=self.state,
+            pre=self.pre,
+        )
         self.executor.bindings.bind_summary(layer.function, summary)
         return summary
 
@@ -411,7 +361,8 @@ class VerificationSession:
             self._mark_unknown(result, exc.reason, str(exc))
         except OutOfBudgetError as exc:
             self._mark_unknown(result, _exhaustion_reason(exc), str(exc))
-        result.elapsed_seconds = time.perf_counter() - started
+        compile_seconds, self._uncharged_compile = self._uncharged_compile, 0.0
+        result.elapsed_seconds = time.perf_counter() - started + compile_seconds
         result.solver_checks = self.executor.solver.num_checks - checks_before
         result.analysis = {
             "enabled": self.analysis_enabled,
@@ -444,7 +395,7 @@ class VerificationSession:
                 panic_blocks_removed=self.prune_report.panic_blocks_removed,
             )
         result.phase_seconds = {
-            "compile": round(self.compile_seconds, 6),
+            "compile": round(compile_seconds, 6),
             "summarize": round(
                 sum(l.elapsed_seconds for l in result.layers
                     if l.name != "Resolve"), 6,
@@ -455,8 +406,6 @@ class VerificationSession:
             ),
             "solve": round(solver.check_seconds - solve_before, 6),
         }
-        if self.cache is not None:
-            result.cache_stats = self.cache.stats()
         return result
 
     def _mark_unknown(self, result: VerificationResult, reason: str,
@@ -478,76 +427,40 @@ class VerificationSession:
 
     def _verify_into(self, result: VerificationResult,
                      use_summaries: bool) -> None:
-        report = None
-        report_key = None
-        if self.cache is not None:
-            from repro.incremental.serialize import report_from_json
-
-            report_key = dict(
-                self._cache_key_base(),
-                code="resolve",
-                spec="rrlookup",
-                use_summaries=use_summaries,
-            )
-            payload = self.cache.get("refinement", report_key)
-            if payload is not None:
-                try:
-                    report = report_from_json(payload)
-                except (KeyError, TypeError):
-                    report = None
-
-        if report is not None:
-            # Same zone content, engine and preconditions: replay the stored
-            # mismatch models through the normal decode/validate path below
-            # without re-running summarization or the refinement check.
-            result.layers.append(
-                LayerResult(
-                    "Resolve", "cache", 0.0, report.code_paths,
-                    verified=report.verified,
-                )
-            )
-        else:
-            if use_summaries:
-                for layer in resolution_layers():
-                    summary = self.summarize_layer(layer)
-                    result.layers.append(
-                        LayerResult(
-                            layer.name,
-                            self._layer_routes.get(layer.function, "summarize"),
-                            summary.elapsed_seconds,
-                            summary.paths_explored,
-                            cases=len(summary.cases),
-                        )
+        if use_summaries:
+            for layer in resolution_layers():
+                summary = self.summarize_layer(layer)
+                result.layers.append(
+                    LayerResult(
+                        layer.name,
+                        "summarize",
+                        summary.elapsed_seconds,
+                        summary.paths_explored,
+                        cases=len(summary.cases),
                     )
-
-            top_started = time.perf_counter()
-            report = check_refinement_nested(
-                self.executor,
-                "resolve",
-                "rrlookup",
-                [self.tree_ptr, self.q_ptr, self.query_encoding.qtype, self.engine_resp_ptr],
-                [self.flat_ptr, self.q_ptr, self.query_encoding.qtype, self.spec_resp_ptr],
-                state=self.state,
-                pre=self.pre,
-                observe_code=lambda outcome: self.engine_resp_ptr,
-                observe_spec=lambda outcome: self.spec_resp_ptr,
-            )
-            result.layers.append(
-                LayerResult(
-                    "Resolve",
-                    "toplevel",
-                    time.perf_counter() - top_started,
-                    report.code_paths,
-                    verified=report.verified,
                 )
-            )
-            if self.cache is not None and not report.unknowns:
-                # An UNKNOWN-tainted report reflects a budget/solver limit,
-                # not zone content; caching it would pin the give-up past
-                # runs with roomier budgets.
-                from repro.incremental.serialize import report_to_json
 
-                self.cache.put("refinement", report_key, report_to_json(report))
+        top_started = time.perf_counter()
+        report = check_refinement_nested(
+            self.executor,
+            "resolve",
+            "rrlookup",
+            [self.tree_ptr, self.q_ptr, self.query_encoding.qtype, self.engine_resp_ptr],
+            [self.flat_ptr, self.q_ptr, self.query_encoding.qtype, self.spec_resp_ptr],
+            state=self.state,
+            pre=self.pre,
+            observe_code=lambda outcome: self.engine_resp_ptr,
+            observe_spec=lambda outcome: self.spec_resp_ptr,
+        )
+        result.layers.append(
+            LayerResult(
+                "Resolve",
+                "toplevel",
+                time.perf_counter() - top_started,
+                report.code_paths,
+                verified=report.verified,
+            )
+        )
         result.refinement = report
 
         for mismatch in report.mismatches:
@@ -740,7 +653,10 @@ def verify_engine(
     planner is chosen, the run goes through the partitioned
     :class:`~repro.incremental.engine.IncrementalVerifier` (pooled via
     :mod:`repro.parallel` when ``workers`` is set), whose merged result
-    is deterministic across worker counts.
+    is deterministic across worker counts. Otherwise, with a ``cache``
+    (or ``options.cache_dir``), the monolithic run goes through
+    :func:`~repro.incremental.engine.verify_cached`: a stored verdict
+    replays without compiling anything.
     """
     from repro.core.options import VerifyOptions
 
@@ -770,13 +686,17 @@ def verify_engine(
         if result.cache_stats is None:
             result.cache_stats = outcome.reuse.cache
         return result
+    if cache is not None:
+        from repro.incremental.engine import verify_cached
+
+        return verify_cached(zone, version, options, cache,
+                             budget=budget, solver=solver)
     if budget is None:
         budget = options.make_budget()
     session = VerificationSession(
         zone,
         version,
         solver=solver,
-        cache=cache,
         budget=budget,
         **options.session_kwargs(),
     )

@@ -11,8 +11,9 @@ argument or the ``REPRO_CACHE_DIR`` environment variable)::
 
     <cache_dir>/<kind>/<sha256>.json
 
-where ``kind`` namespaces artifact types (``summary``, ``refinement``,
-``partition``). Each file holds ``{"key": <material>, "value": <payload>}``
+where ``kind`` namespaces artifact types (the verifier stores one,
+``partition``: per-unit verdicts, the unsplit ``full`` unit included).
+Each file holds ``{"key": <material>, "value": <payload>}``
 so entries are self-describing and collisions (different material, same
 digest — astronomically unlikely) are detected on read.
 

@@ -3,7 +3,7 @@
 A :class:`ZoneDelta` is a record-level edit script between two zone
 snapshots. The incremental engine turns a delta into the set of
 *verification partitions* it invalidates; everything else replays from the
-summary cache.
+verdict cache.
 
 Partitioning the query space
 ----------------------------

@@ -10,7 +10,9 @@ global preconditions), and merges per-partition verdicts into one ordinary
 :class:`~repro.core.pipeline.VerificationResult`. Verdicts are cached; a
 subsequent run — typically after :meth:`IncrementalVerifier.apply` applied
 a :class:`~repro.incremental.delta.ZoneDelta` — replays every partition
-whose dependency closure is unchanged and re-runs only the rest.
+whose dependency closure is unchanged and re-runs only the rest. A cached
+monolithic verify (:func:`verify_cached`) stores and replays the same
+record, under the key of the unsplit ``full`` unit.
 
 Witness stability (why replayed results are bit-identical)
 ----------------------------------------------------------
@@ -36,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.encoding import encoding_depth
 from repro.core.pipeline import (
     BugReport,
     LayerResult,
@@ -203,6 +206,85 @@ def deadline_verdict() -> Dict:
         "layers": [],
         "bugs": [],
     }
+
+
+def partition_key(zone: Zone, version: str, part_key: str, depth: int,
+                  analysis: bool, use_summaries: bool) -> Dict:
+    """The verdict key of one by-label partition. The restricted run
+    observes the full zone, so the full label universe and top set are
+    pinned (see the module docstring). ``part_key="full"`` is the
+    unsplit query space, whose key a cached monolithic verify
+    (:func:`verify_cached`) shares."""
+    if part_key == "full":
+        closure = zone_digest(zone)
+    else:
+        closure = partition_digest(zone, part_key)
+    return {
+        "engine": engine_digest(version),
+        "layers": layers_digest(),
+        "origin": zone.origin.to_text(),
+        "depth": depth,
+        "universe": zone.label_universe(),
+        "tops": top_labels(zone),
+        "partition": part_key,
+        "closure": closure,
+        # Verdicts are bit-identical with pruning on or off, and with or
+        # without layer summaries, but the layers and counters a cached
+        # verdict replays are not — keep those populations apart.
+        "analysis": analysis,
+        "use_summaries": use_summaries,
+    }
+
+
+def verify_cached(zone: Zone, version: str, options, cache: SummaryCache, *,
+                  budget=None, solver=None) -> VerificationResult:
+    """A monolithic verify through the verdict cache.
+
+    The ``full`` partition verdict is looked up before any session is
+    built, so a hit compiles and analyses nothing: it replays the stored
+    verdict and bugs (in their original order), routes every layer
+    ``cache`` and reports 0 solver checks. A miss runs one
+    :class:`VerificationSession` and stores the :func:`verdict_of`
+    record of its result, unless that is UNKNOWN or ERROR. ``budget``
+    defaults to ``options.make_budget()``.
+    """
+    started = time.perf_counter()
+    key = partition_key(
+        zone, version, "full", encoding_depth(zone, options.depth),
+        options.analysis, options.use_summaries,
+    )
+    verdict = cache.get("partition", key)
+    bugs = replay_bugs(verdict) if verdict is not None else None
+    if bugs is None:
+        if budget is None:
+            budget = options.make_budget()
+        result = VerificationSession(
+            zone, version, solver=solver, budget=budget,
+            **options.session_kwargs(),
+        ).verify(use_summaries=options.use_summaries)
+        verdict = verdict_of(result)
+        if verdict is not None and result.verdict in (
+            verdicts_mod.VERIFIED, verdicts_mod.BUG
+        ):
+            cache.put("partition", key, verdict)
+    else:
+        result = VerificationResult(
+            version,
+            zone.origin.to_text(),
+            verdict["verified"],
+            bugs=bugs,
+            layers=[
+                LayerResult(layer["name"], "cache", 0.0, layer["paths"],
+                            layer["cases"], layer["verified"])
+                for layer in verdict["layers"]
+            ],
+            spurious_mismatches=verdict["spurious_mismatches"],
+            verdict=verdict["verdict"],
+            unknown_reason=verdict["unknown_reason"],
+        )
+        result.elapsed_seconds = time.perf_counter() - started
+    result.cache_stats = cache.stats()
+    return result
 
 
 @dataclass
@@ -410,10 +492,9 @@ class IncrementalVerifier:
     ) -> Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]]:
         """Cache misses through the process pool (``workers`` set).
 
-        Cache writes stay in the parent (one writer per run; workers only
-        write summary/refinement entries through their own handles). A
-        worker death falls back to a live in-parent recompute — same
-        inputs, same deterministic outcome; a stall degrades the
+        Cache reads and writes stay in the parent (workers open no
+        cache). A worker death falls back to a live in-parent recompute
+        — same inputs, same deterministic outcome; a stall degrades the
         unit to ``UNKNOWN(wall-clock-deadline)``.
 
         Partition units ship the full zone (pickled once, shared);
@@ -488,10 +569,7 @@ class IncrementalVerifier:
         from repro.core.options import VerifyOptions
 
         base = self.options if self.options is not None else VerifyOptions()
-        cache_dir = None
-        if not self.cache.memory_only:
-            cache_dir = str(self.cache.cache_dir)
-        changes: Dict[str, object] = {"depth": self.depth, "cache_dir": cache_dir}
+        changes: Dict[str, object] = {"depth": self.depth}
         for knob in ("max_paths", "max_steps", "analysis", "analysis_check"):
             if knob in self.session_kwargs:
                 changes[knob] = self.session_kwargs[knob]
@@ -522,34 +600,15 @@ class IncrementalVerifier:
         return self.planner.plan(self.zone)
 
     def _encoding_depth(self) -> int:
-        from repro.dns.name import MAX_NAME_DEPTH
-
-        base = self.depth if self.depth is not None else self.zone.max_name_depth() + 2
-        return min(base, MAX_NAME_DEPTH)
+        return encoding_depth(self.zone, self.depth)
 
     def _verdict_key(self, unit: PlanUnit) -> Dict:
         if unit.kind == KIND_PARTITION:
-            # The historical by-label key, byte for byte: the restricted
-            # run observes the full zone, so the full label universe and
-            # top set are pinned (see the module docstring).
-            if unit.part_key == "full":
-                closure = zone_digest(self.zone)
-            else:
-                closure = partition_digest(self.zone, unit.part_key)
-            return {
-                "engine": engine_digest(self.version),
-                "layers": layers_digest(),
-                "origin": self.zone.origin.to_text(),
-                "depth": self._encoding_depth(),
-                "universe": self.zone.label_universe(),
-                "tops": top_labels(self.zone),
-                "partition": unit.part_key,
-                "closure": closure,
-                # Verdicts are bit-identical with pruning on or off, but the
-                # counters a cached verdict replays (solver_checks, analysis
-                # telemetry) are not — keep the two populations apart.
-                "analysis": self._analysis_enabled(),
-            }
+            return partition_key(
+                self.zone, self.version, unit.part_key,
+                self._encoding_depth(), self._analysis_enabled(),
+                self._use_summaries(),
+            )
         # Equivalence-class keys deliberately omit the zone-wide universe
         # and top set — the whole point of the planner. What they pin
         # instead fully determines the projected session: the unit's
@@ -567,6 +626,7 @@ class IncrementalVerifier:
             "representative": unit.representative,
             "gap_code": unit.gap_code,
             "analysis": self._analysis_enabled(),
+            "use_summaries": self._use_summaries(),
         }
 
     def _session_kwargs_with_budget(self) -> Dict:
@@ -592,7 +652,6 @@ class IncrementalVerifier:
             zone,
             self.version,
             depth=depth,
-            cache=self.cache,
             **self._session_kwargs_with_budget(),
         )
         pre = unit_preconditions(
@@ -652,7 +711,6 @@ class IncrementalVerifier:
             self.planner.member_zone(member),
             self.version,
             depth=self._encoding_depth(),
-            cache=self.cache,
             **self._session_kwargs_with_budget(),
         )
         session.restrict(

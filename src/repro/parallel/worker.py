@@ -19,8 +19,11 @@ plus three per-unit rules:
 - every unit derives its **own fault plan** from the spec and its stable
   unit id (:func:`repro.resilience.faults.unit_plan`) — global consult
   order would be scheduler-dependent;
-- every unit opens its **own cache handle** on the shared directory
-  (entry publication is atomic; keys of distinct units are disjoint).
+- the verdict cache is consulted once per unit, by one process: a
+  campaign unit opens its own handle on the shared directory for its
+  verdict record (entry publication is atomic; keys of distinct units
+  are disjoint), while a partition unit opens none — the parent looks
+  it up and stores what the worker returns.
 """
 
 from __future__ import annotations
@@ -101,18 +104,12 @@ def partition_worker(payload: Dict) -> Dict:
     zone = pickle.loads(payload["zone_pickle"])
     part_key = payload["part_key"]
     options = _options_of(payload)
-    cache = options.make_cache()
-    if cache is None:
-        from repro.incremental.cache import SummaryCache
-
-        cache = SummaryCache(memory_only=True)
     plan = faults_mod.unit_plan(options.faults, payload.get("index", 0))
     scope = faults_mod.active(plan) if plan is not None else nullcontext()
     with scope:
         session = VerificationSession(
             zone,
             payload["version"],
-            cache=cache,
             budget=options.make_budget(),
             **options.session_kwargs(),
         )
@@ -126,5 +123,5 @@ def partition_worker(payload: Dict) -> Dict:
         "part_key": part_key,
         "verdict": verdict_of(result),
         "solver_checks": result.solver_checks,
-        "perf": unit_perf(result, cache),
+        "perf": unit_perf(result),
     }

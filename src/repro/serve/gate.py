@@ -2,7 +2,7 @@
 
 Every zone delta funnels through :meth:`PublishGate.submit`: the candidate
 zone is re-verified by an :class:`~repro.incremental.IncrementalVerifier`
-(so unchanged query-space partitions replay from the summary cache and the
+(so unchanged query-space partitions replay from the verdict cache and the
 gate's latency tracks the *delta*, not the zone), and the typed verdict
 decides publication:
 

@@ -101,23 +101,23 @@ def _drill_solver(version: str) -> SiteOutcome:
 
 
 def _drill_cache(site: str, version: str) -> SiteOutcome:
-    from repro.core.pipeline import VerificationSession
+    from repro.core.options import VerifyOptions
     from repro.incremental.cache import SummaryCache
+    from repro.incremental.engine import verify_cached
     from repro.zonegen import corpus
 
     zone = corpus.minimal_zone()
+    options = VerifyOptions()
     with tempfile.TemporaryDirectory() as tmp:
         cache = SummaryCache(cache_dir=tmp)
         if site == faults.SITE_CACHE_CORRUPT:
-            # Corruption fires on *disk* reads, so the entries must exist
+            # Corruption fires on *disk* reads, so the entry must exist
             # first — published by a separate cache instance, or the
-            # in-memory layer would satisfy every lookup.
-            VerificationSession(
-                zone, version, cache=SummaryCache(cache_dir=tmp)
-            ).verify()
+            # in-memory layer would satisfy the lookup.
+            verify_cached(zone, version, options, SummaryCache(cache_dir=tmp))
         plan = faults.FaultPlan.scripted({site: 2})
         with faults.active(plan):
-            result = VerificationSession(zone, version, cache=cache).verify()
+            result = verify_cached(zone, version, options, cache)
         stats = cache.stats()
     counter = "corrupt" if site == faults.SITE_CACHE_CORRUPT else "io_errors"
     return SiteOutcome(

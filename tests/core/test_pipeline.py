@@ -16,6 +16,7 @@ from repro.core import (
     WRONG_FLAG,
     WRONG_RCODE,
     VerificationSession,
+    clear_ir_cache,
     verify_engine,
 )
 from repro.spec import reference_resolve
@@ -227,6 +228,21 @@ class TestSessionMechanics:
         result = session.verify(use_summaries=False)
         assert result.verified
         assert [l.name for l in result.layers] == ["Resolve"]
+
+    def test_elapsed_covers_compile_and_layers(self):
+        """Oracle: a result's wall time covers its compile (analysis
+        included) and layer phases. ``solve`` overlaps the layers, so it
+        is not summed; compile is charged to the first verify only."""
+        clear_ir_cache()  # make the first verify pay a real compile
+        session = VerificationSession(minimal_zone(), "verified")
+        first, second = session.verify(), session.verify()
+        assert first.phase_seconds["compile"] > 0
+        assert second.phase_seconds["compile"] == 0.0
+        for result in (first, second):
+            phases = result.phase_seconds
+            assert result.elapsed_seconds >= (
+                phases["compile"] + phases["summarize"] + phases["resolve"]
+            )
 
     def test_result_describe_readable(self, results):
         text = results["dev"].describe()

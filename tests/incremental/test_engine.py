@@ -1,16 +1,25 @@
 """IncrementalVerifier behaviour: reuse accounting, persistence, the
-acceptance speedup bar, and session-level summary/refinement caching."""
+acceptance speedup bar, and the cached monolithic verify that shares the
+partition verdict record."""
 
 import pytest
 
-from repro.core.pipeline import VerificationSession, verify_engine
+from repro.core.options import VerifyOptions
+from repro.core.pipeline import (
+    VerificationSession,
+    _IR_CACHE,
+    clear_ir_cache,
+    verify_engine,
+)
 from repro.dns.rdata import ARdata
 from repro.dns.records import ResourceRecord
 from repro.dns.rtypes import RRType
 from repro.dns.zonefile import parse_zone_text
+from repro.engine.control import ENGINE_VERSIONS
 from repro.incremental.cache import SummaryCache
 from repro.incremental.delta import RecordChange, ZoneDelta
-from repro.incremental.engine import IncrementalVerifier
+from repro.incremental.engine import IncrementalVerifier, verify_cached
+from repro.zonegen import evaluation_zone, minimal_zone
 
 ZONE_TEXT = """\
 $ORIGIN shop.example.
@@ -93,6 +102,26 @@ class TestReuseAccounting:
         assert outcome.reuse.partitions_reused == outcome.reuse.partitions_total
         assert outcome.result.solver_checks == 0
 
+    def test_ablation_does_not_replay_summarized_verdicts(self):
+        """``use_summaries`` is part of the verdict key: an ablation run
+        sharing a cache with a summarized one recomputes every unit and
+        reports what a fresh ablation run does."""
+        cache = SummaryCache(memory_only=True)
+        IncrementalVerifier(minimal_zone(), "verified", cache=cache).verify_current()
+        ablation = VerifyOptions(use_summaries=False)
+        shared = IncrementalVerifier(
+            minimal_zone(), "verified", cache=cache, options=ablation
+        ).verify_current()
+        fresh = IncrementalVerifier(
+            minimal_zone(), "verified", options=ablation
+        ).verify_current()
+        assert shared.reuse.partitions_reused == 0
+        assert shared.result.solver_checks == fresh.result.solver_checks > 0
+        assert [l.name for l in shared.result.layers] == [
+            l.name for l in fresh.result.layers
+        ]
+        assert {l.name.split(":")[-1] for l in shared.result.layers} == {"Resolve"}
+
     def test_buggy_version_replays_bug_reports(self, zone):
         verifier = IncrementalVerifier(zone, "v1.0")
         first = verifier.verify_current()
@@ -104,30 +133,60 @@ class TestReuseAccounting:
         ]
 
 
-class TestSessionCache:
-    def test_summary_and_refinement_cache_hit(self, zone, tmp_path):
-        cache = SummaryCache(cache_dir=tmp_path)
-        first = VerificationSession(zone, "verified", cache=cache).verify()
-        assert first.cache_stats is not None
-        second = VerificationSession(zone, "verified", cache=SummaryCache(cache_dir=tmp_path)).verify()
-        assert second.solver_checks == 0
-        assert [l.route for l in second.layers] == ["cache"]
-        assert second.verified == first.verified
+def assert_replays(zone, version, cache_dir):
+    """Verify twice through a fresh disk cache each time: the second run
+    must replay the first exactly, with no solver check and no compile."""
+    first = verify_cached(zone, version, VerifyOptions(),
+                          SummaryCache(cache_dir=cache_dir))
+    clear_ir_cache()
+    second = verify_cached(zone, version, VerifyOptions(),
+                           SummaryCache(cache_dir=cache_dir))
+    assert not _IR_CACHE  # the hit compiled nothing
+    assert second.solver_checks == 0
+    assert second.verdict == first.verdict
+    assert second.verified == first.verified
+    assert second.spurious_mismatches == first.spurious_mismatches
+    assert second.bugs == first.bugs  # stored (discovery) order
+    assert [(l.name, l.route) for l in second.layers] == [
+        (l.name, "cache") for l in first.layers
+    ]
+    return first
 
-    def test_summary_cache_alone(self, zone, tmp_path):
-        """Evicting the refinement entry still leaves summary reuse."""
-        cache = SummaryCache(cache_dir=tmp_path)
-        VerificationSession(zone, "verified", cache=cache).verify()
-        for path in (tmp_path / "refinement").glob("*.json"):
-            path.unlink()
-        result = VerificationSession(
-            zone, "verified", cache=SummaryCache(cache_dir=tmp_path)
-        ).verify()
-        routes = {l.name: l.route for l in result.layers}
-        assert routes["TreeSearch"] == "cache"
-        assert routes["Find"] == "cache"
-        assert routes["Resolve"] == "toplevel"
-        assert result.verified
+
+class TestSessionCache:
+    @pytest.mark.parametrize("version", sorted(ENGINE_VERSIONS))
+    def test_replay_identity(self, version, tmp_path):
+        assert_replays(minimal_zone(), version, tmp_path)
+
+    def test_replay_identity_on_evaluation_zone(self, tmp_path):
+        first = assert_replays(evaluation_zone(), "v1.0", tmp_path)
+        assert first.bugs
+
+    def test_only_partition_entries_are_written(self, zone, tmp_path):
+        verify_engine(zone, "verified", cache=SummaryCache(cache_dir=tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["partition"]
+
+    def test_unknown_is_never_stored(self, zone):
+        cache = SummaryCache(memory_only=True)
+        result = verify_cached(zone, "verified", VerifyOptions(fuel=10), cache)
+        assert result.verdict == "UNKNOWN"
+        assert cache.puts == 0
+
+    def test_shares_the_full_unit_record(self, zone):
+        """An unsplittable plan is one ``full`` unit; its verdict is the
+        record a cached monolithic verify at the same depth replays."""
+        depth = len(zone.origin)
+        cache = SummaryCache(memory_only=True)
+        outcome = IncrementalVerifier(
+            zone, "verified", cache=cache, depth=depth
+        ).verify_current()
+        assert outcome.reuse.recomputed_keys == ("full",)
+        result = verify_engine(
+            zone, "verified", options=VerifyOptions(depth=depth), cache=cache
+        )
+        assert result.solver_checks == 0
+        assert {l.route for l in result.layers} == {"cache"}
+        assert result.verdict == outcome.result.verdict
 
     def test_restrict_narrows_the_proof(self, zone):
         from repro.incremental.delta import Partition

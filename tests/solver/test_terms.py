@@ -6,7 +6,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.incremental.serialize import term_from_json, term_to_json
 from repro.solver import terms
 from repro.solver.terms import (
     FALSE,
@@ -279,7 +278,6 @@ class TestHashConsing:
     ], ids=repr)
     def test_round_trips_return_the_interned_term(self, term):
         assert pickle.loads(pickle.dumps(term)) is term
-        assert term_from_json(term_to_json(term)) is term
 
     def test_dropped_terms_leave_the_table(self):
         def probes():
