@@ -28,7 +28,7 @@ import sys
 
 import pytest
 
-from repro.core import run_campaign
+from repro.core import VerifyOptions, run_campaign
 
 _REPORTS = {}
 
@@ -48,7 +48,7 @@ def run_worker_curve(num_zones, worker_counts):
     for workers in worker_counts:
         report = run_campaign(
             SCALING_VERSION, num_zones=num_zones, seed=SCALING_SEED,
-            workers=workers, **SCALING_CONFIG,
+            options=VerifyOptions(workers=workers), **SCALING_CONFIG,
         )
         if canonical is None:
             canonical = report.canonical_json()

@@ -35,6 +35,7 @@ import json
 import sys
 import time
 
+from repro.core.options import VerifyOptions
 from repro.dns.rdata import ARdata
 from repro.dns.records import ResourceRecord
 from repro.dns.rtypes import RRType
@@ -66,7 +67,7 @@ def calibrate(scale=CALIBRATION_SCALE, version=VERSION):
     for planner in ("by-label", "equivalence-class"):
         verifier = IncrementalVerifier(
             zone, version, cache=SummaryCache(memory_only=True),
-            planner=planner,
+            options=VerifyOptions(planner=planner),
         )
         t0 = time.perf_counter()
         outcome = verifier.verify_current()
@@ -124,7 +125,7 @@ def bench_scale(scale, calib, version=VERSION, delta_rounds=DELTA_ROUNDS):
 
     verifier = IncrementalVerifier(
         zone, version, cache=SummaryCache(memory_only=True),
-        planner="equivalence-class",
+        options=VerifyOptions(planner="equivalence-class"),
     )
     t0 = time.perf_counter()
     warm = verifier.verify_current()

@@ -72,7 +72,8 @@ class Session:
     ``workers=None`` runs in-process (a verify monolithically), any
     integer fans out through :mod:`repro.parallel`. Arbitrary additional
     ``VerifyOptions`` fields can be set via ``options`` or as extra
-    keyword arguments.
+    keyword arguments. A disk-backed ``cache`` handle also sets
+    ``options.cache_dir`` when no directory is given otherwise.
     """
 
     def __init__(
@@ -95,6 +96,11 @@ class Session:
             changes["fuel"] = fuel
         if workers is not None:
             changes["workers"] = workers
+        if (cache is not None and not cache.memory_only
+                and cache_dir is None and base.cache_dir is None):
+            # A disk cache lends its directory to the options, so units
+            # that open their own handle (campaigns) share it too.
+            changes["cache_dir"] = str(cache.cache_dir)
         self.options = base.with_(**changes) if changes else base
         if cache is not None:
             self.cache = cache
@@ -167,7 +173,6 @@ class Session:
                 num_zones=num_zones,
                 seed=seed,
                 options=options,
-                cache=self.cache,
                 checkpoint=target,
                 resume=resume,
                 **config_kwargs,
@@ -236,7 +241,6 @@ class Session:
             interval=interval,
             log=log,
             max_failures=max_failures,
-            workers=options.workers,
             options=options,
         )
 
@@ -272,5 +276,4 @@ class Session:
             selfcheck_every=selfcheck_every,
             cache=self.cache,
             options=options,
-            workers=options.workers,
         )

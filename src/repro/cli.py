@@ -77,14 +77,6 @@ def _runtime_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _make_cache(args):
-    if getattr(args, "cache", None) is None:
-        return None
-    from repro.incremental import SummaryCache
-
-    return SummaryCache(cache_dir=args.cache)
-
-
 def _exit_code(verdict: str) -> int:
     """0 VERIFIED, 1 BUG, 2 UNKNOWN/ERROR — scripts can tell 'proved' from
     'refuted' from 'gave up'."""
@@ -105,7 +97,7 @@ def cmd_verify(args) -> int:
 
     zone = _load_zone(args)
     options = VerifyOptions.from_args(args)
-    cache = _make_cache(args)
+    cache = options.make_cache()
     # Sequential runs install the fault plan globally; pooled runs
     # (--workers) instead derive one deterministic plan per unit inside
     # each worker, so the parent installs nothing.
@@ -152,12 +144,12 @@ def cmd_campaign(args) -> int:
         return _campaign_status(args)
     if args.serve:
         return _campaign_serve(args)
-    cache = _make_cache(args)
+    options = VerifyOptions.from_args(args)
     report = run_campaign(
         args.version,
         num_zones=args.zones,
         seed=args.seed,
-        options=VerifyOptions.from_args(args),
+        options=options,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
@@ -165,8 +157,10 @@ def cmd_campaign(args) -> int:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(report.describe())
-        if cache is not None:
-            print(f"cache: {cache!r}")
+        if options.cache_dir is not None:
+            print(f"cache: {options.cache_dir} "
+                  f"(hits={report.perf['cache_hits']}, "
+                  f"misses={report.perf['cache_misses']})")
     if any(v.verdict == verdicts.BUG for v in report.verdicts):
         return 1
     if report.zones_unknown or report.zones_errored:
@@ -263,17 +257,15 @@ def _campaign_status(args) -> int:
 
 def cmd_watch(args) -> int:
     from repro.core import VerifyOptions
-    from repro.incremental import SummaryCache, WatchDaemon
+    from repro.incremental import WatchDaemon
 
-    cache = _make_cache(args)
     options = VerifyOptions.from_args(args)
     daemon = WatchDaemon(
         args.zone,
         version=args.version,
-        cache=cache if cache is not None else SummaryCache(memory_only=True),
+        cache=options.make_cache(),
         interval=args.interval,
         max_failures=args.max_failures,
-        workers=options.workers,
         options=options,
     )
     daemon.run(max_updates=args.max_updates)
@@ -532,9 +524,8 @@ def cmd_serve(args) -> int:
         status_port=args.status_port,
         rate_limit=args.rate_limit,
         selfcheck_every=args.selfcheck_every,
-        cache=_make_cache(args),
+        cache=options.make_cache(),
         options=options,
-        workers=options.workers,
         journal=args.journal,
         max_qps=args.max_qps,
     )

@@ -237,10 +237,10 @@ def run_unit(
                 **options.session_kwargs(),
             ).verify(use_summaries=options.use_summaries)
         else:
-            verifier = IncrementalVerifier(
-                base_zone, version, cache=cache, options=options,
-                **options.session_kwargs(),
-            )
+            # The campaign unit is already the parallel unit: its nested
+            # verifier runs in-process under the unit's own fault plan.
+            verifier = IncrementalVerifier(base_zone, version, cache=cache,
+                                           options=options.with_(workers=None))
             verifier.verify_current()
             outcome = verifier.diff_to(zone)
             result = outcome.result
@@ -391,33 +391,26 @@ def run_campaign(
     seed: int = 2023,
     zones: Optional[Sequence[Zone]] = None,
     options: Optional[VerifyOptions] = None,
-    cache=None,
-    budget_seconds: Optional[float] = None,
-    budget_fuel: Optional[int] = None,
     checkpoint=None,
     resume: bool = False,
-    workers: Optional[int] = None,
-    faults: Optional[str] = None,
     **config_overrides,
 ) -> CampaignReport:
     """Verify ``version`` on every zone; returns the aggregate report.
 
     Zones come from an explicit ``zones`` list or are generated from
     ``GeneratorConfig(seed=seed, **config_overrides)``. Configuration
-    travels in ``options``; the ``budget_seconds``/``budget_fuel``/
-    ``workers``/``faults`` keywords, when given, override its fields, and
-    a disk-backed ``cache`` lends its directory (every unit opens its own
-    handle on it — a memory-only cache cannot be shared across units).
-    ``options.smoke_first`` runs the differential tester before each
-    proof (the prover must refute every zone the tester does).
+    travels only in ``options`` (default ``VerifyOptions()``); with
+    ``options.cache_dir`` set, every unit opens its own handle on that
+    directory. ``options.smoke_first`` runs the differential tester
+    before each proof (the prover must refute every zone the tester does).
 
     Units fan out across ``options.workers`` processes; None or 1 runs
     them in-process. Every count runs the same worker function on the
     same inputs, so the canonical report is bit-identical for any count.
     Each unit gets a fresh budget and its own fault plan derived from
-    ``(faults, unit index)``; exhaustion records an ``UNKNOWN`` verdict,
-    a unit that dies of a typed error records ``ERROR``, and the campaign
-    moves on.
+    ``(options.faults, unit index)``; exhaustion records an ``UNKNOWN``
+    verdict, a unit that dies of a typed error records ``ERROR``, and the
+    campaign moves on.
 
     ``checkpoint`` names a JSONL file that receives one durable record
     per completed unit, written by this process only (workers return
@@ -429,12 +422,11 @@ def run_campaign(
     from repro.incremental.digest import engine_digest, zone_digest
     from repro.parallel.counters import PerfCounters
 
-    overrides = {"budget_seconds": budget_seconds, "fuel": budget_fuel,
-                 "workers": workers, "faults": faults}
-    if cache is not None and not getattr(cache, "memory_only", False):
-        overrides["cache_dir"] = str(cache.cache_dir)
-    options = (options or VerifyOptions()).with_(
-        **{k: v for k, v in overrides.items() if v is not None})
+    options = options if options is not None else VerifyOptions()
+    if zones is not None and config_overrides:
+        raise TypeError(
+            "run_campaign: generator settings given with explicit zones: "
+            + ", ".join(sorted(config_overrides)))
     if zones is None:
         config = GeneratorConfig(seed=seed, **config_overrides)
         zones = ZoneGenerator(config).stream(num_zones)

@@ -671,16 +671,8 @@ def verify_engine(
         # in-process otherwise.
         from repro.incremental.engine import IncrementalVerifier
 
-        verifier = IncrementalVerifier(
-            zone,
-            version,
-            cache=cache,
-            depth=options.depth,
-            workers=options.workers,
-            options=options,
-            max_paths=options.max_paths,
-            max_steps=options.max_steps,
-        )
+        verifier = IncrementalVerifier(zone, version, cache=cache,
+                                       options=options)
         outcome = verifier.verify_current()
         result = outcome.result
         if result.cache_stats is None:

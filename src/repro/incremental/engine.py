@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.encoding import encoding_depth
+from repro.core.options import VerifyOptions
 from repro.core.pipeline import (
     BugReport,
     LayerResult,
@@ -61,11 +62,7 @@ from repro.incremental.digest import (
     top_labels,
     zone_digest,
 )
-from repro.incremental.serialize import (
-    SerializationError,
-    bug_from_json,
-    bug_to_json,
-)
+from repro.incremental.serialize import bug_from_json, bug_to_json
 from repro.resilience import verdicts as verdicts_mod
 from repro.incremental import delta as delta_mod
 
@@ -89,11 +86,9 @@ def bug_sort_key(bug: BugReport) -> Tuple:
 # ---------------------------------------------------------------------------
 
 
-def verdict_of(result: VerificationResult,
-               with_bugs: bool = True) -> Optional[Dict]:
-    """The JSON-safe cacheable form of a partition result, or None when
-    its bugs do not serialize (the run stays live, the cache untouched)."""
-    verdict = {
+def verdict_of(result: VerificationResult) -> Dict:
+    """The JSON-safe cacheable form of a partition result."""
+    return {
         "verified": result.verified,
         "verdict": result.verdict,
         "unknown_reason": result.unknown_reason,
@@ -112,20 +107,23 @@ def verdict_of(result: VerificationResult,
             }
             for layer in result.layers
         ],
-        "bugs": [],
+        "bugs": [bug_to_json(b) for b in result.bugs],
     }
-    if with_bugs:
-        try:
-            verdict["bugs"] = [bug_to_json(b) for b in result.bugs]
-        except SerializationError:
-            return None
-    return verdict
+
+
+def store_verdict(cache: SummaryCache, key: Dict, verdict: Dict) -> None:
+    """Cache a freshly computed verdict. UNKNOWN/ERROR verdicts reflect a
+    budget or environment, not zone content — they are never stored."""
+    if verdict["verdict"] in (verdicts_mod.VERIFIED, verdicts_mod.BUG):
+        cache.put("partition", key, verdict)
 
 
 def replay_bugs(verdict: Dict) -> Optional[List[BugReport]]:
+    """The bugs of a cached verdict, or None when the record is malformed
+    (a cache file is outside input; a bad one is a miss)."""
     try:
         return [bug_from_json(b) for b in verdict["bugs"]]
-    except (SerializationError, KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         return None
 
 
@@ -262,11 +260,7 @@ def verify_cached(zone: Zone, version: str, options, cache: SummaryCache, *,
             zone, version, solver=solver, budget=budget,
             **options.session_kwargs(),
         ).verify(use_summaries=options.use_summaries)
-        verdict = verdict_of(result)
-        if verdict is not None and result.verdict in (
-            verdicts_mod.VERIFIED, verdicts_mod.BUG
-        ):
-            cache.put("partition", key, verdict)
+        store_verdict(cache, key, verdict_of(result))
     else:
         result = VerificationResult(
             version,
@@ -340,7 +334,12 @@ class IncrementalVerifier:
 
     ``cache`` defaults to an in-memory store; pass a
     :class:`~repro.incremental.cache.SummaryCache` with a directory for
-    persistence across processes (the watch daemon does).
+    persistence across processes (the watch daemon does). Every knob
+    travels in ``options`` (a :class:`~repro.core.options.VerifyOptions`,
+    default ``VerifyOptions()``): ``options.workers=None`` recomputes
+    misses sequentially in-process, any integer — 1 included — routes
+    them through the :mod:`repro.parallel` pool, so worker counts are
+    interchangeable. Each unit gets a fresh ``options.make_budget()``.
     """
 
     def __init__(
@@ -348,32 +347,13 @@ class IncrementalVerifier:
         zone: Zone,
         version: str = "verified",
         cache: Optional[SummaryCache] = None,
-        depth: Optional[int] = None,
-        workers: Optional[int] = None,
-        options=None,
-        planner=None,
-        **session_kwargs,
+        options: Optional[VerifyOptions] = None,
     ) -> None:
         self.zone = zone
         self.version = version
         self.cache = cache if cache is not None else SummaryCache(memory_only=True)
-        self.depth = depth
-        #: None = recompute misses sequentially with live sessions (the
-        #: historical path). Any integer routes misses through the
-        #: :mod:`repro.parallel` pool — including 1, so worker counts are
-        #: interchangeable (they all run the same worker code and the same
-        #: JSON round-trip).
-        self.workers = workers
-        #: Plain-data knobs shipped to pool workers (live ``session_kwargs``
-        #: objects such as a custom solver cannot cross the boundary and are
-        #: only honoured on the sequential path).
-        self.options = options
-        self.session_kwargs = session_kwargs
-        #: The query planner: an explicit instance/name wins, then
-        #: ``options.planner``, then the by-label default.
-        if planner is None and options is not None:
-            planner = getattr(options, "planner", None)
-        self.planner = make_planner(planner)
+        self.options = options if options is not None else VerifyOptions()
+        self.planner = make_planner(self.options.planner)
 
     # -- the delta entry point -----------------------------------------------
 
@@ -426,7 +406,7 @@ class IncrementalVerifier:
                 if replayed is not None:
                     cached[position] = (verdict, replayed)
         misses = [p for p in range(len(plan)) if p not in cached]
-        if self.workers is None:
+        if self.options.workers is None:
             fresh = {p: self._recompute_live(*plan[p]) for p in misses}
         else:
             fresh = self._recompute_pooled(plan, misses)
@@ -471,26 +451,17 @@ class IncrementalVerifier:
     def _recompute_live(
         self, unit: PlanUnit, key: Dict
     ) -> Tuple[Dict, List[BugReport], int, Dict[str, float]]:
-        """One cache miss, computed in-process with a live session (the
-        sequential path; also the fallback when a pool worker's bugs do
-        not serialize — live objects never cross a process boundary)."""
+        """One cache miss, computed in-process (the sequential path; also
+        the fallback when a pool worker dies)."""
         result = self._verify_unit(unit)
         verdict = verdict_of(result)
-        cacheable = verdict is not None and result.verdict in (
-            verdicts_mod.VERIFIED, verdicts_mod.BUG
-        )
-        if cacheable:
-            # UNKNOWN/ERROR verdicts reflect a budget or environment,
-            # not zone content — never pin them in the cache.
-            self.cache.put("partition", key, verdict)
-        if verdict is None:
-            verdict = verdict_of(result, with_bugs=False)
+        store_verdict(self.cache, key, verdict)
         return verdict, result.bugs, result.solver_checks, result.phase_seconds
 
     def _recompute_pooled(
         self, plan: List[Tuple[PlanUnit, Dict]], misses: List[int]
     ) -> Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]]:
-        """Cache misses through the process pool (``workers`` set).
+        """Cache misses through the process pool (``options.workers`` set).
 
         Cache reads and writes stay in the parent (workers open no
         cache). A worker death falls back to a live in-parent recompute
@@ -505,10 +476,10 @@ class IncrementalVerifier:
         import pickle
 
         from repro.parallel.counters import perf_phases
-        from repro.parallel.pool import OK, TIMEOUT, grace_seconds, run_units
+        from repro.parallel.pool import DIED, TIMEOUT, grace_seconds, run_units
         from repro.parallel.worker import partition_worker
 
-        options = self._worker_options()
+        options = self.options
         zone_blob = None
         payloads = []
         for p in misses:
@@ -536,51 +507,25 @@ class IncrementalVerifier:
             )
         fresh: Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]] = {}
         for pos, status, value in run_units(
-            partition_worker, payloads, self.workers,
+            partition_worker, payloads, options.workers,
             grace_seconds(options.budget_seconds),
         ):
             position = misses[pos]
-            part, key = plan[position]
-            if status == OK and value is not None and value["verdict"] is not None:
-                verdict = value["verdict"]
-                bugs = replay_bugs(verdict)
-                if bugs is not None:
-                    if verdict.get("verdict") in (
-                        verdicts_mod.VERIFIED, verdicts_mod.BUG
-                    ):
-                        self.cache.put("partition", key, verdict)
-                    fresh[position] = (
-                        verdict,
-                        bugs,
-                        verdict.get("solver_checks", 0),
-                        perf_phases(value.get("perf")),
-                    )
-                    continue
+            unit, key = plan[position]
             if status == TIMEOUT:
                 fresh[position] = (deadline_verdict(), [], 0, {})
-                continue
-            # Worker died, its bugs did not serialize, or the replay
-            # failed: recompute live in the parent.
-            fresh[position] = self._recompute_live(part, key)
+            elif status == DIED:
+                fresh[position] = self._recompute_live(unit, key)
+            else:
+                verdict = value["verdict"]
+                store_verdict(self.cache, key, verdict)
+                fresh[position] = (
+                    verdict,
+                    [bug_from_json(b) for b in verdict["bugs"]],
+                    verdict["solver_checks"],
+                    perf_phases(value.get("perf")),
+                )
         return fresh
-
-    def _worker_options(self):
-        """The plain-data options shipped to partition workers."""
-        from repro.core.options import VerifyOptions
-
-        base = self.options if self.options is not None else VerifyOptions()
-        changes: Dict[str, object] = {"depth": self.depth}
-        for knob in ("max_paths", "max_steps", "analysis", "analysis_check"):
-            if knob in self.session_kwargs:
-                changes[knob] = self.session_kwargs[knob]
-        return base.with_(**changes)
-
-    def _analysis_enabled(self) -> bool:
-        if "analysis" in self.session_kwargs:
-            return bool(self.session_kwargs["analysis"])
-        if self.options is not None:
-            return bool(self.options.analysis)
-        return True
 
     # -- internals -------------------------------------------------------------
 
@@ -600,14 +545,14 @@ class IncrementalVerifier:
         return self.planner.plan(self.zone)
 
     def _encoding_depth(self) -> int:
-        return encoding_depth(self.zone, self.depth)
+        return encoding_depth(self.zone, self.options.depth)
 
     def _verdict_key(self, unit: PlanUnit) -> Dict:
         if unit.kind == KIND_PARTITION:
             return partition_key(
                 self.zone, self.version, unit.part_key,
-                self._encoding_depth(), self._analysis_enabled(),
-                self._use_summaries(),
+                self._encoding_depth(), self.options.analysis,
+                self.options.use_summaries,
             )
         # Equivalence-class keys deliberately omit the zone-wide universe
         # and top set — the whole point of the planner. What they pin
@@ -625,41 +570,33 @@ class IncrementalVerifier:
             "digest": unit.digest,
             "representative": unit.representative,
             "gap_code": unit.gap_code,
-            "analysis": self._analysis_enabled(),
-            "use_summaries": self._use_summaries(),
+            "analysis": self.options.analysis,
+            "use_summaries": self.options.use_summaries,
         }
 
-    def _session_kwargs_with_budget(self) -> Dict:
-        kwargs = dict(self.session_kwargs)
-        if self.options is not None and "budget" not in kwargs:
-            # Same rule as the pool workers: a fresh budget per unit, so
-            # the in-parent fallback is indistinguishable from a worker.
-            kwargs["budget"] = self.options.make_budget()
-        return kwargs
-
-    def _use_summaries(self) -> bool:
-        return self.options.use_summaries if self.options is not None else True
+    def _session(self, zone: Zone, depth: Optional[int]) -> VerificationSession:
+        """A unit's session: ``options`` with ``depth`` and a fresh budget
+        per unit, as in a pool worker."""
+        return VerificationSession(
+            zone, self.version, budget=self.options.make_budget(),
+            **self.options.with_(depth=depth).session_kwargs(),
+        )
 
     def _verify_unit(self, unit: PlanUnit) -> VerificationResult:
         if unit.kind == KIND_PARTITION:
-            zone, depth = self.zone, self.depth
+            session = self._session(self.zone, self.options.depth)
         else:
             # Equivalence-class units verify against their projected zone
             # — the representative's dependency closure — with the depth
             # pinned to the full zone's so query encodings stay aligned.
-            zone, depth = self.planner.projected_zone(unit), self._encoding_depth()
-        session = VerificationSession(
-            zone,
-            self.version,
-            depth=depth,
-            **self._session_kwargs_with_budget(),
-        )
+            session = self._session(self.planner.projected_zone(unit),
+                                    self._encoding_depth())
         pre = unit_preconditions(
             unit.part_key, unit.gap_code, session.query_encoding
         )
         if pre:
             session.restrict(pre)
-        return session.verify(use_summaries=self._use_summaries())
+        return session.verify(use_summaries=self.options.use_summaries)
 
     # -- class-member expansion ------------------------------------------------
 
@@ -707,15 +644,11 @@ class IncrementalVerifier:
     def _member_fallback(self, member: str) -> VerificationResult:
         """Full symbolic verify of one class member (hypothesis-violation
         escape hatch), restricted to the member's own subtree."""
-        session = VerificationSession(
-            self.planner.member_zone(member),
-            self.version,
-            depth=self._encoding_depth(),
-            **self._session_kwargs_with_budget(),
-        )
+        session = self._session(self.planner.member_zone(member),
+                                self._encoding_depth())
         session.restrict(
             unit_preconditions(
                 delta_mod.SUB_PREFIX + member, None, session.query_encoding
             )
         )
-        return session.verify(use_summaries=self._use_summaries())
+        return session.verify(use_summaries=self.options.use_summaries)

@@ -148,11 +148,9 @@ def unit_preconditions(part_key: str, gap_code: Optional[int], encoding):
     return Partition(part_key).preconditions(encoding)
 
 
-def make_planner(spec) -> QueryPlanner:
-    """A planner instance from a name (``by-label``/``equivalence-class``)
-    or an existing :class:`QueryPlanner` (returned as-is)."""
-    if isinstance(spec, QueryPlanner):
-        return spec
+def make_planner(spec: Optional[str]) -> QueryPlanner:
+    """A fresh planner from its name (``by-label``, the default for None,
+    or ``equivalence-class``)."""
     if spec in (None, BY_LABEL):
         from repro.incremental.planner.by_label import ByLabelPlanner
 

@@ -7,8 +7,7 @@ That is what lets the verdict cache store partition verdicts (see
 to its parent. :func:`result_to_json` is the ``--json`` CLI contract.
 
 Decoding malformed input raises ``KeyError``, ``TypeError`` or
-``ValueError`` (:class:`SerializationError` is a ``ValueError``); callers
-treat that as a cache miss, never an error.
+``ValueError``; callers treat that as a cache miss, never an error.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ from repro.core.pipeline import BugReport, LayerResult, VerificationResult
 from repro.dns.message import Query
 from repro.dns.name import DnsName
 from repro.dns.rtypes import RRType
-
-
-class SerializationError(ValueError):
-    """The artifact uses a vocabulary this format does not cover."""
 
 
 # ---------------------------------------------------------------------------

@@ -75,17 +75,15 @@ class WatchDaemon:
         retry: Optional[RetryPolicy] = None,
         max_failures: int = 5,
         sleep: Callable[[float], None] = time.sleep,
-        workers: Optional[int] = None,
         options=None,
     ) -> None:
         self.zone_path = os.fspath(zone_path)
         self.version = version
         self.cache = cache if cache is not None else SummaryCache(memory_only=True)
-        #: Forwarded to :class:`IncrementalVerifier`: ``workers`` routes
-        #: partition recomputes through the process pool, ``options``
-        #: (a :class:`~repro.core.options.VerifyOptions`) carries the
-        #: per-partition budget and executor knobs.
-        self.workers = workers
+        #: Forwarded to :class:`IncrementalVerifier`: a
+        #: :class:`~repro.core.options.VerifyOptions` (None = defaults)
+        #: carrying every knob, ``workers`` and the per-partition budget
+        #: included.
         self.options = options
         self.interval = interval
         self.log = log or functools.partial(print, flush=True)
@@ -125,8 +123,7 @@ class WatchDaemon:
         re-verify each change as a delta."""
         if self.verifier is None:
             self.verifier = IncrementalVerifier(
-                zone, self.version, cache=self.cache,
-                workers=self.workers, options=self.options,
+                zone, self.version, cache=self.cache, options=self.options,
             )
             return self._emit("initial", self.verifier.verify_current(), None)
         return self._emit("change", self.verifier.diff_to(zone), None)

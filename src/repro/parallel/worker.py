@@ -92,9 +92,7 @@ def partition_worker(payload: Dict) -> Dict:
 
     Returns the unit's cacheable verdict dict (the same shape
     :class:`~repro.incremental.engine.IncrementalVerifier` stores) plus
-    perf. ``verdict`` is None when the unit's bugs do not serialize; the
-    parent then recomputes that unit in-process to keep the live bug
-    objects, exactly as the sequential path would.
+    perf.
     """
     from repro.core.pipeline import VerificationSession
     from repro.incremental.engine import verdict_of

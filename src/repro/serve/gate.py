@@ -90,14 +90,18 @@ class PublishResult:
 
 
 class PublishGate:
-    """Owns the currently-published snapshot and the verifier gating it."""
+    """Owns the currently-published snapshot and the verifier gating it.
+
+    ``options`` (a :class:`~repro.core.options.VerifyOptions`, None =
+    defaults) is handed to that verifier whole: its ``workers``, budget
+    and analysis knobs govern every gated re-verification.
+    """
 
     def __init__(
         self,
         snapshot: ServingSnapshot,
         cache: Optional[SummaryCache] = None,
         options=None,
-        workers: Optional[int] = None,
         journal: Optional[PublishJournal] = None,
         clock=time.monotonic,
     ):
@@ -107,7 +111,6 @@ class PublishGate:
             snapshot.zone,
             snapshot.version,
             cache=cache if cache is not None else SummaryCache(memory_only=True),
-            workers=workers,
             options=options,
         )
         self.journal = journal

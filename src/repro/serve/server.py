@@ -144,7 +144,11 @@ def _bind_socket_pair(host: str, port: int,
 
 
 class ZoneServer:
-    """One zone, one engine version, served until told otherwise."""
+    """One zone, one engine version, served until told otherwise.
+
+    ``cache`` and ``options`` (a :class:`~repro.core.options.VerifyOptions`,
+    ``workers`` included) configure the :class:`PublishGate`'s verifier.
+    """
 
     def __init__(
         self,
@@ -159,7 +163,6 @@ class ZoneServer:
         selfcheck_interval: float = 30.0,
         cache=None,
         options=None,
-        workers: Optional[int] = None,
         journal=None,
         max_qps: Optional[float] = None,
         degrade: Optional[degrade_mod.OverloadController] = None,
@@ -191,8 +194,8 @@ class ZoneServer:
         self.port = port
         self.status_port = status_port
         self.gate = PublishGate(
-            snapshot, cache=cache, options=options, workers=workers,
-            journal=journal, clock=clock,
+            snapshot, cache=cache, options=options, journal=journal,
+            clock=clock,
         )
         self.metrics = ServerMetrics(clock=clock)
         self.limiter = (

@@ -86,4 +86,6 @@ def test_pruning_is_bit_identical_under_both_planners(planner, version):
         planner=planner, analysis=False))
     on = verify_engine(zone, version, options=VerifyOptions(
         planner=planner, analysis=True))
+    assert off.analysis["enabled"] is False
+    assert on.analysis["enabled"] is True
     assert canonical(on) == canonical(off)

@@ -115,6 +115,19 @@ class TestSessionCampaign:
         assert report.perf is not None
         assert report.perf["workers"] == 2
 
+    def test_disk_cache_handle_caches_campaigns(self, tmp_path):
+        from repro.incremental import SummaryCache
+
+        cache_dir = str(tmp_path / "cache")
+        first = Session(cache=SummaryCache(cache_dir=cache_dir)).campaign(
+            1, "verified", seed=11, **TINY)
+        assert first.perf["cache_misses"] > 0
+        session = Session(cache=SummaryCache(cache_dir=cache_dir))
+        assert session.options.cache_dir == cache_dir
+        second = session.campaign(1, "verified", seed=11, **TINY)
+        assert second.perf["cache_hits"] > 0
+        assert second.perf["cache_misses"] == 0
+
 
 class TestSessionWatch:
     def test_daemon_inherits_session_state(self, tmp_path):
@@ -125,7 +138,7 @@ class TestSessionWatch:
         session = Session(workers=2, budget=60.0)
         daemon = session.watch(str(path), log=lambda line: None)
         assert daemon.cache is session.cache
-        assert daemon.workers == 2
+        assert daemon.options.workers == 2
         assert daemon.options.budget_seconds == 60.0
         event = daemon.poll_once()
         assert event is not None

@@ -12,9 +12,12 @@ from repro.campaign import (
     read_ledger,
 )
 from repro.core import VerifyOptions, run_campaign
+from repro.core.campaign import CampaignUnit, run_unit_loop
 from repro.parallel import pool
+from repro.parallel.counters import PerfCounters
 from repro.resilience import verdicts
 from repro.zonegen import minimal_zone
+from repro.zonegen.mutate import mutate_zone
 
 
 def _stall_every_unit(worker, payloads, workers, grace_seconds=None):
@@ -56,3 +59,24 @@ def test_pool_stall_is_unknown_deadline(driver, tmp_path, monkeypatch):
     assert rows[0]["verdict"] == verdicts.UNKNOWN
     assert rows[0]["unknown_reason"] == verdicts.REASON_DEADLINE
     assert rows[0]["solver_checks"] == 0
+
+
+def _mutation_unit_verdicts(options):
+    base = minimal_zone()
+    units = [CampaignUnit(index=3, zone=mutate_zone(base, seed=5),
+                          version="v1.0", key={"unit": 3}, base_zone=base)]
+    rows = []
+    for _, verdict, _, _ in run_unit_loop(units, options, PerfCounters()):
+        row = verdict.to_json()
+        del row["elapsed_seconds"]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["seed:7:0.02", "seed:7:0.05"])
+def test_mutation_unit_is_identical_across_worker_counts(spec):
+    """A mutation unit's nested verifier stays in-process under the
+    unit's own fault plan, whatever the campaign's worker count."""
+    options = VerifyOptions(faults=spec)
+    sequential = _mutation_unit_verdicts(options)
+    assert sequential == _mutation_unit_verdicts(options.with_(workers=1))

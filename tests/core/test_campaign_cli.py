@@ -42,6 +42,10 @@ class TestCampaign:
         assert ablated.zones_verified == 1
         assert ablated.perf["guards_pruned"] == 0
 
+    def test_generator_settings_with_explicit_zones_rejected(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_campaign("verified", zones=[minimal_zone()], workers=2)
+
     def test_smoke_cross_check_consistency(self):
         # smoke_first (the VerifyOptions default) raises if the
         # differential refutes a zone the prover accepts; running it at
@@ -110,6 +114,17 @@ class TestCLI:
         assert seen["options"] == VerifyOptions(
             analysis=False, analysis_check=True, fuel=900,
             faults="seed:7:0.05")
+
+    def test_campaign_cache_reports_its_own_hits(self, tmp_path, capsys):
+        """The printed cache line is the campaign's own hit count: a
+        second run over the same directory replays its unit."""
+        argv = ["campaign", "--zones", "1", "--cache", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert "(hits=0, misses=1)" in capsys.readouterr().out
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(hits=1, misses=0)" in out
+        assert ", 0 checks)" in out
 
     def test_unknown_version_rejected(self):
         with pytest.raises(SystemExit):

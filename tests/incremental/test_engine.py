@@ -133,6 +133,36 @@ class TestReuseAccounting:
         ]
 
 
+class TestOptionsReachTheUnit:
+    """``options`` is the verifier's only configuration channel: the
+    sequential path honours every field the pooled path does."""
+
+    def test_analysis_off(self):
+        live = IncrementalVerifier(
+            minimal_zone(), options=VerifyOptions(analysis=False)
+        ).verify_current().result
+        pooled = IncrementalVerifier(
+            minimal_zone(), options=VerifyOptions(workers=1, analysis=False)
+        ).verify_current().result
+        assert live.analysis["enabled"] is False
+        assert pooled.analysis["enabled"] is False
+        assert live.solver_checks == pooled.solver_checks > 0
+        assert live.verdict == pooled.verdict == "VERIFIED"
+
+    def test_step_limit(self):
+        outcome = IncrementalVerifier(
+            minimal_zone(), options=VerifyOptions(max_steps=10)
+        ).verify_current()
+        assert outcome.result.verdict == "UNKNOWN"
+
+    def test_depth(self):
+        zone = minimal_zone()
+        outcome = IncrementalVerifier(
+            zone, options=VerifyOptions(depth=len(zone.origin))
+        ).verify_current()
+        assert outcome.reuse.recomputed_keys == ("full",)
+
+
 def assert_replays(zone, version, cache_dir):
     """Verify twice through a fresh disk cache each time: the second run
     must replay the first exactly, with no solver check and no compile."""
@@ -178,7 +208,7 @@ class TestSessionCache:
         depth = len(zone.origin)
         cache = SummaryCache(memory_only=True)
         outcome = IncrementalVerifier(
-            zone, "verified", cache=cache, depth=depth
+            zone, "verified", cache=cache, options=VerifyOptions(depth=depth)
         ).verify_current()
         assert outcome.reuse.recomputed_keys == ("full",)
         result = verify_engine(

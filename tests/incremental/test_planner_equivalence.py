@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.core.options import VerifyOptions
 from repro.incremental.delta import random_delta
 from repro.incremental.engine import IncrementalVerifier
 from repro.incremental.planner.by_label import ByLabelPlanner
@@ -47,7 +48,8 @@ def location_tuples(result, zone):
 def run_both(zone, version):
     results = {}
     for planner in ("by-label", "equivalence-class"):
-        outcome = IncrementalVerifier(zone, version, planner=planner)
+        outcome = IncrementalVerifier(
+            zone, version, options=VerifyOptions(planner=planner))
         results[planner] = outcome.verify_current().result
     return results
 
@@ -108,7 +110,8 @@ def test_delta_sequence_stays_equivalent():
     steps = 50 if MARATHON else 4
     zone = generate_zone(seed=5)
     verifiers = {
-        planner: IncrementalVerifier(zone, "v2.0", planner=planner)
+        planner: IncrementalVerifier(
+            zone, "v2.0", options=VerifyOptions(planner=planner))
         for planner in ("by-label", "equivalence-class")
     }
     for verifier in verifiers.values():

@@ -256,8 +256,6 @@ def test_make_planner_resolution():
     assert isinstance(make_planner(None), ByLabelPlanner)
     assert isinstance(make_planner(BY_LABEL), ByLabelPlanner)
     assert isinstance(make_planner(EQUIVALENCE_CLASS), ECPlanner)
-    instance = ECPlanner()
-    assert make_planner(instance) is instance
     with pytest.raises(ValueError):
         make_planner("quantum")
 

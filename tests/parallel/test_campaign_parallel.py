@@ -10,7 +10,7 @@ import time
 import pytest
 
 import repro
-from repro.core import run_campaign
+from repro.core import VerifyOptions, run_campaign
 from repro.resilience.checkpoint import load
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -23,20 +23,24 @@ TINY = dict(num_hosts=2, num_wildcards=1, num_delegations=0,
 class TestWorkerCountIdentity:
     def test_sequential_equals_pooled(self):
         seq = run_campaign("verified", num_zones=3, seed=11, **TINY)
-        one = run_campaign("verified", num_zones=3, seed=11, workers=1, **TINY)
-        four = run_campaign("verified", num_zones=3, seed=11, workers=4, **TINY)
+        one = run_campaign("verified", num_zones=3, seed=11,
+                           options=VerifyOptions(workers=1), **TINY)
+        four = run_campaign("verified", num_zones=3, seed=11,
+                            options=VerifyOptions(workers=4), **TINY)
         assert seq.canonical_json() == one.canonical_json()
         assert one.canonical_json() == four.canonical_json()
 
     def test_buggy_version_identical_across_workers(self):
-        one = run_campaign("v1.0", num_zones=2, seed=11, workers=1, **TINY)
-        two = run_campaign("v1.0", num_zones=2, seed=11, workers=2, **TINY)
+        one = run_campaign("v1.0", num_zones=2, seed=11,
+                           options=VerifyOptions(workers=1), **TINY)
+        two = run_campaign("v1.0", num_zones=2, seed=11,
+                           options=VerifyOptions(workers=2), **TINY)
         assert one.canonical_json() == two.canonical_json()
         assert any(v.bug_categories for v in two.verdicts)
 
     def test_pooled_report_carries_perf_counters(self):
-        report = run_campaign("verified", num_zones=2, seed=11, workers=2,
-                              **TINY)
+        report = run_campaign("verified", num_zones=2, seed=11,
+                              options=VerifyOptions(workers=2), **TINY)
         perf = report.perf
         assert perf["workers"] == 2
         assert perf["units_total"] == 2
@@ -53,19 +57,23 @@ class TestWorkerCountIdentity:
         # workers=None (in-process) must honour the spec the same way.
         spec = "seed:7:0.7"
         default = run_campaign("verified", num_zones=3, seed=11,
-                               faults=spec, **TINY)
-        one = run_campaign("verified", num_zones=3, seed=11, workers=1,
-                           faults=spec, **TINY)
-        two = run_campaign("verified", num_zones=3, seed=11, workers=2,
-                           faults=spec, **TINY)
+                               options=VerifyOptions(faults=spec), **TINY)
+        one = run_campaign("verified", num_zones=3, seed=11,
+                           options=VerifyOptions(workers=1, faults=spec),
+                           **TINY)
+        two = run_campaign("verified", num_zones=3, seed=11,
+                           options=VerifyOptions(workers=2, faults=spec),
+                           **TINY)
         assert default.canonical_json() == one.canonical_json()
         assert one.canonical_json() == two.canonical_json()
 
     def test_scripted_fault_degrades_unit_to_typed_error(self):
         # compile=1 fires in every unit (scripted plans are re-instantiated
         # per unit id) — all units degrade to ERROR, none aborts the run.
-        report = run_campaign("verified", num_zones=2, seed=11, workers=2,
-                              faults="compile=1", **TINY)
+        report = run_campaign("verified", num_zones=2, seed=11,
+                              options=VerifyOptions(workers=2,
+                                                    faults="compile=1"),
+                              **TINY)
         assert all(v.verdict == "ERROR" for v in report.verdicts)
         assert all(v.error_class == "compile" for v in report.verdicts)
 
@@ -73,12 +81,14 @@ class TestWorkerCountIdentity:
 class TestResume:
     def test_truncated_checkpoint_resume_matches_sequential(self, tmp_path):
         ckpt = tmp_path / "par.jsonl"
-        baseline = run_campaign("verified", num_zones=3, seed=11, workers=2,
+        baseline = run_campaign("verified", num_zones=3, seed=11,
+                                options=VerifyOptions(workers=2),
                                 checkpoint=str(ckpt), **TINY)
         lines = ckpt.read_text().splitlines()
         assert len(lines) == 4  # header + 3 units
         ckpt.write_text("\n".join(lines[:2]) + "\n")
-        resumed = run_campaign("verified", num_zones=3, seed=11, workers=2,
+        resumed = run_campaign("verified", num_zones=3, seed=11,
+                               options=VerifyOptions(workers=2),
                                checkpoint=str(ckpt), resume=True, **TINY)
         assert resumed.canonical_json() == baseline.canonical_json()
         assert resumed.perf["units_replayed"] == 1
@@ -89,7 +99,8 @@ class TestResume:
         ckpt = tmp_path / "seq.jsonl"
         baseline = run_campaign("verified", num_zones=2, seed=11,
                                 checkpoint=str(ckpt), **TINY)
-        resumed = run_campaign("verified", num_zones=2, seed=11, workers=2,
+        resumed = run_campaign("verified", num_zones=2, seed=11,
+                               options=VerifyOptions(workers=2),
                                checkpoint=str(ckpt), resume=True, **TINY)
         assert resumed.canonical_json() == baseline.canonical_json()
         assert resumed.perf["units_replayed"] == 2
@@ -101,8 +112,9 @@ class TestResume:
         ckpt = tmp_path / "killed.jsonl"
         script = (
             "import sys\n"
-            "from repro.core import run_campaign\n"
-            "run_campaign('verified', num_zones=4, seed=11, workers=2, "
+            "from repro.core import VerifyOptions, run_campaign\n"
+            "run_campaign('verified', num_zones=4, seed=11, "
+            "options=VerifyOptions(workers=2), "
             "checkpoint=sys.argv[1], num_hosts=2, num_wildcards=1, "
             "num_delegations=0, num_cnames=1, num_mx=0)\n"
         )
@@ -139,7 +151,8 @@ class TestResume:
         assert header is not None
         assert len(units) >= 1
 
-        resumed = run_campaign("verified", num_zones=4, seed=11, workers=2,
+        resumed = run_campaign("verified", num_zones=4, seed=11,
+                               options=VerifyOptions(workers=2),
                                checkpoint=str(ckpt), resume=True, **TINY)
         fresh = run_campaign("verified", num_zones=4, seed=11, **TINY)
         assert resumed.canonical_json() == fresh.canonical_json()
