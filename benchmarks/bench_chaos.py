@@ -4,10 +4,17 @@ Two questions the degradation ladder and the publish journal exist to
 answer, measured:
 
 - **qps per ladder rung** — how fast ``handle_packet`` answers with the
-  overload controller pinned at NORMAL, TRUNCATE, and SERVFAIL_SHED.
-  Degraded modes exist to be *cheaper* than resolving: TRUNCATE skips
-  the resolve entirely and SERVFAIL_SHED answers shed clients with 12
-  header bytes, so both must beat NORMAL or the ladder sheds nothing.
+  overload controller pinned at NORMAL, TRUNCATE, and SERVFAIL_SHED,
+  on questions that miss the answer memo (it is emptied before each
+  one). Degraded modes exist to be *cheaper* than resolving: TRUNCATE
+  skips the resolve entirely and SERVFAIL_SHED answers shed clients
+  with 12 header bytes, so both must beat NORMAL or the ladder sheds
+  nothing.
+- **hit qps per rung** — the same rungs on questions the memo holds. A
+  hit runs no engine, so the server answers it in full ahead of the
+  TRUNCATE and SERVFAIL_SHED checks; a degraded rung serving hits at
+  under half of NORMAL's hit qps means the ladder taxes answers it
+  already has.
 - **recovery time** — how long a SIGKILL'd server takes to come back:
   the digest-match path (journal head == on-disk zone: adopt and serve,
   no prover) and the re-verify path (journal ran ahead: a full
@@ -48,20 +55,38 @@ def pinned_server(level):
     return ZoneServer(evaluation_zone(), degrade=controller)
 
 
-def measure_rung_qps(level, num_queries):
+#: A degraded rung must serve memo hits at no less than this share of
+#: NORMAL's hit qps.
+MIN_HIT_SHARE = 0.5
+
+
+def measure_rung_qps(level, num_queries, hits=False):
+    """qps and µs per query at ``level``. Every question misses the memo
+    (emptied before each one) unless ``hits``, when every question is
+    memoised at NORMAL first and answered from the memo."""
     # Clients rotate so SERVFAIL_SHED exercises both its branches (a
     # fixed client is deterministically shed-or-not, which would bench
     # only one of them).
-    server = pinned_server(level)
+    server = pinned_server(degrade.NORMAL)
     wires = wire_mix()
     clients = [f"198.51.100.{i}" for i in range(16)]
-    for wire in wires:  # warm: intern tables, engine module import
+    for wire in wires:  # warm: intern tables, engine module import, memo
         server.handle_packet(wire, clients[0])
+    server.degrade.level = level
+    answers = server.snapshot.answers
+    hits_before = server.metrics.answer_cache_hits
     start = time.perf_counter()
-    for i in range(num_queries):
-        server.handle_packet(wires[i % len(wires)], clients[i % 16])
+    if hits:
+        for i in range(num_queries):
+            server.handle_packet(wires[i % len(wires)], clients[i % 16])
+    else:
+        for i in range(num_queries):
+            answers.clear()
+            server.handle_packet(wires[i % len(wires)], clients[i % 16])
     elapsed = time.perf_counter() - start
     assert server.metrics.conservation()["conserved"]
+    served_hits = server.metrics.answer_cache_hits - hits_before
+    assert served_hits == (num_queries if hits else 0), served_hits
     return num_queries / elapsed, 1e6 * elapsed / num_queries
 
 
@@ -107,21 +132,24 @@ def measure_recovery(workdir):
 # -- pytest harness ----------------------------------------------------------
 
 
+RUNGS = (("NORMAL", degrade.NORMAL),
+         ("TRUNCATE", degrade.TRUNCATE),
+         ("SERVFAIL_SHED", degrade.SERVFAIL_SHED))
+
+
 def test_degraded_rungs_are_cheaper_than_normal(benchmark):
     def run():
-        results = {}
-        for name, level in (("normal", degrade.NORMAL),
-                            ("truncate", degrade.TRUNCATE),
-                            ("shed", degrade.SERVFAIL_SHED)):
-            results[name], _ = measure_rung_qps(level, 3000)
-        return results
+        return {(name, hits): measure_rung_qps(level, 3000, hits)[0]
+                for name, level in RUNGS for hits in (False, True)}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    for name, qps in results.items():
-        print(f"  {name}: {qps:,.0f} qps")
-    assert results["truncate"] > results["normal"]
-    assert results["shed"] > results["normal"]
+    for (name, hits), qps in results.items():
+        print(f"  {name} {'hits' if hits else 'misses'}: {qps:,.0f} qps")
+    assert results["TRUNCATE", False] > results["NORMAL", False]
+    assert results["SERVFAIL_SHED", False] > results["NORMAL", False]
+    for name in ("TRUNCATE", "SERVFAIL_SHED"):
+        assert results[name, True] >= MIN_HIT_SHARE * results["NORMAL", True]
 
 
 def test_recovery_paths(benchmark):
@@ -147,12 +175,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rungs = {}
-    for name, level in (("NORMAL", degrade.NORMAL),
-                        ("TRUNCATE", degrade.TRUNCATE),
-                        ("SERVFAIL_SHED", degrade.SERVFAIL_SHED)):
-        qps, micros = measure_rung_qps(level, args.queries)
-        rungs[name] = {"qps": round(qps, 1),
-                       "query_micros": round(micros, 2)}
+    hit_rungs = {}
+    for name, level in RUNGS:
+        for table, hits in ((rungs, False), (hit_rungs, True)):
+            qps, micros = measure_rung_qps(level, args.queries, hits)
+            table[name] = {"qps": round(qps, 1),
+                           "query_micros": round(micros, 2)}
 
     with tempfile.TemporaryDirectory() as tmp:
         recovery = measure_recovery(tmp)
@@ -162,6 +190,7 @@ def main(argv=None) -> int:
         "zone": "evaluation",
         "queries_per_rung": args.queries,
         "rungs": rungs,
+        "hit_rungs": hit_rungs,
         "degraded_speedup": {
             "truncate_vs_normal": round(
                 rungs["TRUNCATE"]["qps"] / rungs["NORMAL"]["qps"], 2),
@@ -182,6 +211,14 @@ def main(argv=None) -> int:
     if not degraded_cheaper:
         print("FAIL: a degraded rung is slower than NORMAL — the ladder "
               "sheds nothing", file=sys.stderr)
+        return 1
+    slow_hits = [name for name in ("TRUNCATE", "SERVFAIL_SHED")
+                 if hit_rungs[name]["qps"]
+                 < MIN_HIT_SHARE * hit_rungs["NORMAL"]["qps"]]
+    if slow_hits:
+        print(f"FAIL: {', '.join(slow_hits)} serve memo hits at under "
+              f"{MIN_HIT_SHARE:.0%} of NORMAL's hit qps — the ladder taxes "
+              f"answers the server already holds", file=sys.stderr)
         return 1
     return 0
 

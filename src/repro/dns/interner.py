@@ -79,6 +79,11 @@ class LabelInterner:
         except KeyError:
             raise KeyError(f"label {label!r} not interned") from None
 
+    def interned_label(self, code: int) -> Optional[str]:
+        """The label interned at exactly ``code``; None for a gap code
+        (no synthesis, unlike :meth:`decode`)."""
+        return self._label_of.get(code)
+
     def interned_codes(self) -> List[int]:
         return sorted(self._label_of)
 

@@ -44,6 +44,8 @@ class NotAQueryError(WireError):
 
 
 _HEADER = struct.Struct("!HHHHHH")
+_TXID = struct.Struct("!H")
+_HEADER_TAIL = struct.Struct("!HHHHH")  # the header after its transaction id
 
 #: RFC 1035 section 3.1: a whole name occupies at most 255 octets on the
 #: wire (length bytes plus the terminating root byte included).
@@ -155,46 +157,52 @@ def _encode_rdata(record: ResourceRecord) -> bytes:
     raise WireError(f"cannot encode rdata of type {record.rtype!r}")
 
 
-def _encode_record(record: ResourceRecord) -> bytes:
+def encode_record_tail(record: ResourceRecord) -> bytes:
+    """A record's wire bytes after its owner name: type, class, TTL,
+    rdlength and rdata. Output names are never compressed, so these bytes
+    depend on the record alone."""
     rdata = _encode_rdata(record)
     return (
-        record.rname.to_wire()
-        + struct.pack("!HHIH", int(record.rtype), int(DNSClass.IN), record.ttl, len(rdata))
+        struct.pack("!HHIH", int(record.rtype), int(DNSClass.IN), record.ttl, len(rdata))
         + rdata
     )
 
 
-def build_query(txid: int, query: Query) -> bytes:
-    """Serialise a query message (for the client side of examples)."""
-    header = _HEADER.pack(txid, 0x0100, 1, 0, 0, 0)
-    question = query.qname.to_wire() + struct.pack(
+def encode_question(query: Query) -> bytes:
+    """The question section for ``query``: its name, type and class IN."""
+    return query.qname.to_wire() + struct.pack(
         "!HH", int(query.qtype), int(DNSClass.IN)
     )
-    return header + question
+
+
+def response_header_tail(rcode: int, aa: bool, counts: Tuple[int, int, int],
+                         tc: bool = False) -> bytes:
+    """A one-question response header after its transaction id: flags,
+    QDCOUNT 1 and the (answer, authority, additional) ``counts``."""
+    flags = 0x8000 | (rcode & 0xF)
+    if aa:
+        flags |= 0x0400
+    if tc:
+        flags |= 0x0200
+    return _HEADER_TAIL.pack(flags, 1, *counts)
+
+
+def build_query(txid: int, query: Query) -> bytes:
+    """Serialise a query message (for the client side of examples)."""
+    return _HEADER.pack(txid, 0x0100, 1, 0, 0, 0) + encode_question(query)
 
 
 def build_response(txid: int, response: Response) -> bytes:
     """Serialise a response message."""
-    flags = 0x8000
-    if response.aa:
-        flags |= 0x0400
-    if response.tc:
-        flags |= 0x0200
-    flags |= int(response.rcode) & 0xF
-    header = _HEADER.pack(
-        txid,
-        flags,
-        1,
-        len(response.answer),
-        len(response.authority),
-        len(response.additional),
-    )
-    out = bytearray(header)
-    out += response.query.qname.to_wire()
-    out += struct.pack("!HH", int(response.query.qtype), int(DNSClass.IN))
-    for section in (response.answer, response.authority, response.additional):
+    sections = (response.answer, response.authority, response.additional)
+    out = bytearray(_TXID.pack(txid))
+    out += response_header_tail(int(response.rcode), response.aa,
+                                tuple(map(len, sections)), response.tc)
+    out += encode_question(response.query)
+    for section in sections:
         for record in section:
-            out += _encode_record(record)
+            out += record.rname.to_wire()
+            out += encode_record_tail(record)
     return bytes(out)
 
 
@@ -207,11 +215,7 @@ def build_error_response(txid: int, rcode: RCode, query: Query = None) -> bytes:
     flags = 0x8000 | (int(rcode) & 0xF)
     if query is None:
         return _HEADER.pack(txid, flags, 0, 0, 0, 0)
-    header = _HEADER.pack(txid, flags, 1, 0, 0, 0)
-    question = query.qname.to_wire() + struct.pack(
-        "!HH", int(query.qtype), int(DNSClass.IN)
-    )
-    return header + question
+    return _HEADER.pack(txid, flags, 1, 0, 0, 0) + encode_question(query)
 
 
 def build_truncated_response(txid: int, query: Query) -> bytes:
@@ -221,11 +225,7 @@ def build_truncated_response(txid: int, query: Query) -> bytes:
     question over TCP, whose accept queue gives the kernel a back-pressure
     mechanism the datagram socket lacks."""
     flags = 0x8000 | 0x0200  # QR | TC
-    header = _HEADER.pack(txid, flags, 1, 0, 0, 0)
-    question = query.qname.to_wire() + struct.pack(
-        "!HH", int(query.qtype), int(DNSClass.IN)
-    )
-    return header + question
+    return _HEADER.pack(txid, flags, 1, 0, 0, 0) + encode_question(query)
 
 
 def parse_response(wire: bytes) -> Tuple[int, Response]:

@@ -25,6 +25,12 @@ identical semantics and no pool overhead — worker functions are
 deterministic pure-ish functions of their payload, so in-process and
 pooled execution produce the same values.
 
+A worker never outlives the process that started it: each one watches
+its parent pid from a daemon thread (:func:`_exit_with_parent`) and
+exits once it changes, so a SIGKILLed campaign leaves no orphans behind.
+(Under ``forkserver`` the parent is the fork server, which exits with
+the campaign, so the same watch holds.)
+
 Start method: ``fork`` when the platform offers it (inherits the
 parent's compiled-IR cache; cheap on Linux), else ``spawn`` — worker
 functions and payloads are top-level/picklable either way. Override
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -46,6 +53,9 @@ DIED = "died"
 TIMEOUT = "timeout"
 
 _ENV_START = "REPRO_MP_START"
+
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_SECONDS = 0.5
 
 
 def mp_context():
@@ -69,6 +79,20 @@ def grace_seconds(budget_seconds: Optional[float]) -> Optional[float]:
     if budget_seconds is None:
         return None
     return 3.0 * budget_seconds + 30.0
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: start a daemon thread that ends the worker
+    (``os._exit``, mid-unit if need be) once its parent is gone, which
+    shows as ``os.getppid()`` changing (the orphan is reparented)."""
+    parent_pid = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -102,7 +126,8 @@ def run_units(
         return
 
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(payloads)), mp_context=mp_context()
+        max_workers=min(workers, len(payloads)), mp_context=mp_context(),
+        initializer=_exit_with_parent,
     ) as pool:
         futures = {
             pool.submit(worker, payload): index

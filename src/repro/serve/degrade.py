@@ -16,9 +16,10 @@ path down a ladder of progressively cheaper behaviours:
     UDP queries get a header+question reply with TC=1 (RFC 1035 4.2.1),
     pushing well-behaved clients onto TCP where the kernel's accept queue
     provides back-pressure the datagram socket cannot. Building the
-    truncated reply skips the whole resolve path (~60µs → ~2µs on a
-    question the snapshot has not answered yet; a question it has is an
-    answer-memo hit that already costs about what a truncated reply does).
+    truncated reply skips the engine walk and answer rendering (~60µs →
+    ~15µs in-process on the evaluation zone). A question the snapshot
+    has answered before is an answer-memo hit: it runs no engine, so it
+    is answered in full ahead of this rung and the next.
 ``SERVFAIL_SHED``
     the lowest-priority clients (a stable hash of the client address —
     deterministic, so one client flaps between polls rather than all of

@@ -20,7 +20,11 @@ The checker is also the oracle for the snapshot's answer memo
 (:attr:`~repro.serve.snapshot.ServingSnapshot.answers`): each sample
 keeps the packet's memo key, and a sampled question whose answer is
 memoised must have a cached reply byte-identical to what the snapshot's
-engine builds for it now. A mismatch is a ``cache-divergence``.
+engine builds for it now. A mismatch is a ``cache-divergence``. Misses
+are rendered from the snapshot's wire fragments
+(:meth:`~repro.serve.snapshot.ServingSnapshot.render`) while the
+rebuild here goes through ``resolve`` and ``build_response``, so the
+same check holds the fast path to the slow one.
 """
 
 from __future__ import annotations

@@ -34,9 +34,14 @@ by the UDP reader per datagram and by the TCP handler per frame. A
 question the current snapshot has answered before is a dictionary hit on
 its answer memo (:attr:`ServingSnapshot.answers`, keyed by the query bytes
 after the transaction id): the cached reply tail goes out behind the new
-transaction id, a few µs. A miss takes the full path (parse → encode →
-tree walk → decode → serialize, ~60µs) and memoises the reply if it built
-cleanly. Verification runs in a worker thread via
+transaction id, a few µs. A hit is served right after the rate limiter
+and the length check, ahead of the TRUNCATE and SERVFAIL_SHED rungs:
+those rungs shed engine work, and a hit does none. A miss parses the
+packet, encodes the query name, walks the engine's tree once and renders
+the answer straight to wire bytes from the snapshot's fragment tables
+(:meth:`ServingSnapshot.render`); an answer the tables cannot render is
+decoded and serialized the old way from the same engine output. A reply
+that built cleanly is memoised. Verification runs in a worker thread via
 :meth:`ZoneServer.publish` so the server keeps answering during a gate
 check. Self-checking replays a sample of live queries against a
 ``verified``-engine snapshot (:mod:`repro.serve.selfcheck`).
@@ -258,25 +263,28 @@ class ZoneServer:
         key = data[2:]
         hit = snapshot.answers.get(key)
         if hit is not None:
-            # A memo entry holds no Query (keeping one alive per entry
-            # costs the cache-miss path measurably in collector work);
-            # the rare steps below that need it re-parse the packet,
-            # which parsed cleanly when its answer was memoised.
-            txid, query = (data[0] << 8) | data[1], None
-        else:
-            try:
-                txid, query = parse_query(data)
-            except NotAQueryError:
-                # RFC 1035 7.1: never answer a message with QR set — a
-                # reply would itself be a response, and a spoofed source
-                # address (another server's, or our own) turns that into
-                # an infinite reflection loop between authoritatives.
-                self.metrics.dropped_malformed += 1
-                return b""
-            except WireError:
-                txid = int.from_bytes(data[:2], "big")
-                self.metrics.count_rcode(int(RCode.FORMERR))
-                return build_error_response(txid, RCode.FORMERR)
+            # Served ahead of the TRUNCATE and SERVFAIL_SHED rungs: those
+            # shed engine work, and a hit does none. The entry holds no
+            # Query (one per entry costs the miss path measurably in
+            # collector work); the self-checker re-parses a sampled key.
+            if self.selfcheck is not None:
+                self._observe(level, None, key)
+            self.metrics.answer_cache_hits += 1
+            self.metrics.count_rcode(hit[0])
+            return data[:2] + hit[1]
+        try:
+            txid, query = parse_query(data)
+        except NotAQueryError:
+            # RFC 1035 7.1: never answer a message with QR set — a reply
+            # would itself be a response, and a spoofed source address
+            # (another server's, or our own) turns that into an infinite
+            # reflection loop between authoritatives.
+            self.metrics.dropped_malformed += 1
+            return b""
+        except WireError:
+            txid = int.from_bytes(data[:2], "big")
+            self.metrics.count_rcode(int(RCode.FORMERR))
+            return build_error_response(txid, RCode.FORMERR)
 
         if level >= degrade_mod.SERVFAIL_SHED and self.degrade.should_shed(client):
             # Header-only SERVFAIL for the (deterministically chosen)
@@ -289,42 +297,50 @@ class ZoneServer:
             # where the accept queue back-pressures. Skips the resolve.
             self.metrics.truncated += 1
             self.metrics.count_rcode(int(RCode.NOERROR))
-            if query is None:
-                query = parse_query(data)[1]
             return build_truncated_response(txid, query)
 
         if self.selfcheck is not None:
-            if level >= degrade_mod.SHED_SELFCHECK:
-                self.metrics.selfcheck_suspended += 1
-            else:
-                self.selfcheck.observe(query, key)
-
-        if hit is not None:
-            self.metrics.answer_cache_hits += 1
-            self.metrics.count_rcode(hit[0])
-            return data[:2] + hit[1]
+            self._observe(level, query, key)
         try:
-            response = snapshot.resolve(query)
-        except ResolveError as exc:
-            if exc.crash is not None:
-                self.metrics.engine_crashes += 1
-            else:
+            go_resp, overlay = snapshot.run_engine(query)
+        except ResolveError:
+            self.metrics.engine_crashes += 1
+            return self._servfail(txid, query)
+        rendered = snapshot.render(query, go_resp, overlay)
+        if rendered is None:
+            # No fragment for some part of this answer: build it through
+            # decode and build_response from the same engine output, so
+            # every failure is classified as it always was.
+            try:
+                response = snapshot.decode(query, go_resp, overlay)
+            except ResolveError:
                 self.metrics.decode_failures += 1
-            self.metrics.count_rcode(int(RCode.SERVFAIL))
-            return build_error_response(txid, RCode.SERVFAIL, query)
-        try:
-            wire = build_response(txid, response)
-        except WireError:
-            self.metrics.encode_failures += 1
-            self.metrics.count_rcode(int(RCode.SERVFAIL))
-            return build_error_response(txid, RCode.SERVFAIL, query)
-        rcode = int(response.rcode)
+                return self._servfail(txid, query)
+            try:
+                wire = build_response(txid, response)
+            except WireError:
+                self.metrics.encode_failures += 1
+                return self._servfail(txid, query)
+            rendered = (int(response.rcode), wire[2:])
+        rcode, tail = rendered
         answers = snapshot.answers
         if len(answers) >= ANSWER_CACHE_CAP:
             answers.clear()
-        answers[key] = (rcode, wire[2:])
+        answers[key] = rendered
         self.metrics.count_rcode(rcode)
-        return wire
+        return data[:2] + tail
+
+    def _observe(self, level: int, query: Optional[Query], key: bytes) -> None:
+        """Offer one answered question to the self-checker, or count it
+        as unsampled while the ladder sheds self-checking."""
+        if level >= degrade_mod.SHED_SELFCHECK:
+            self.metrics.selfcheck_suspended += 1
+        else:
+            self.selfcheck.observe(query, key)
+
+    def _servfail(self, txid: int, query: Query) -> bytes:
+        self.metrics.count_rcode(int(RCode.SERVFAIL))
+        return build_error_response(txid, RCode.SERVFAIL, query)
 
     def read_datagrams(self, sock) -> None:
         """The UDP reader callback: answer up to :data:`UDP_BATCH`

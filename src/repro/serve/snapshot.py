@@ -15,6 +15,27 @@ memoises them there. The memo dies with its snapshot: a publish swaps in
 a new snapshot with an empty one, so no answer outlives the zone that
 produced it and nothing ever invalidates an entry.
 
+Rendering a miss
+----------------
+
+A memo miss runs the engine once (:meth:`ServingSnapshot.run_engine`) and
+turns its answer straight into wire bytes (:meth:`ServingSnapshot.render`):
+the header, the question echo, then per record its owner labels and the
+rest of the record. Output names are never compressed
+(:mod:`repro.dns.wire`), so both parts depend on the record alone and
+come from two per-snapshot fragment tables, filled on first use and
+dropped with the snapshot like the memo: label code → length-prefixed
+label bytes, and ``(rtype, rdata_id)`` → the record's bytes after its
+owner name. A label the query brought in (a wildcard echo) is rendered on
+the spot from the query's overlay. Anything the tables cannot render —
+a gap code outside the overlay, an rdata that does not encode, an rtype
+that does not match its rdata, an rcode outside :class:`RCode` — sends
+that reply down the slow path, :meth:`ServingSnapshot.decode` plus
+``build_response`` over the same engine output, which classifies the
+failure exactly as before. The slow path is also :meth:`resolve`, which
+the self-checker replays sampled memo entries through, so it stays the
+differential oracle of the fast one.
+
 Fresh-label encoding
 --------------------
 
@@ -41,6 +62,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dns.interner import LABEL_SPACING, LabelInterner
 from repro.dns.message import Query, Response
+from repro.dns.name import MAX_NAME_DEPTH, DnsName
+from repro.dns.records import ResourceRecord
+from repro.dns.rtypes import RCode, RRType
+from repro.dns.wire import (
+    encode_question,
+    encode_record_tail,
+    response_header_tail,
+)
 from repro.dns.zone import Zone
 from repro.engine import control
 from repro.engine.encoding import ZoneEncoder
@@ -96,14 +125,31 @@ def encode_query_name(
     return codes, overlay
 
 
+#: The rcodes a rendered reply may carry; any other engine rcode takes
+#: the slow path, which reports it as it always has.
+_RCODES = frozenset(int(rcode) for rcode in RCode)
+
+#: Owner of the throwaway record a fragment is encoded from: a fragment
+#: is the bytes after the owner name, so the owner never reaches it.
+_ROOT = DnsName(())
+
+
+def _label_wire(label: str) -> bytes:
+    raw = label.encode("ascii")
+    return bytes((len(raw),)) + raw
+
+
 @dataclass(frozen=True)
 class ServingSnapshot:
     """One published state of the serving plane.
 
-    Nothing but :attr:`answers` is mutated after construction. That dict
-    maps a query's bytes after the transaction id to ``(rcode, reply
-    bytes after the transaction id)``; only the server's query path
-    writes it, and it starts empty on every snapshot.
+    Nothing but :attr:`answers` and the two fragment tables is mutated
+    after construction. ``answers`` maps a query's bytes after the
+    transaction id to ``(rcode, reply bytes after the transaction id)``;
+    only the server's query path writes it, and it starts empty on every
+    snapshot. :attr:`label_fragments` and :attr:`record_fragments` are
+    :meth:`render`'s caches (see the module docstring), also empty at
+    birth.
     """
 
     zone: Zone
@@ -115,14 +161,24 @@ class ServingSnapshot:
     sequence: int = 0
     published_at: float = 0.0
     answers: dict = field(default_factory=dict, repr=False, compare=False)
+    label_fragments: dict = field(default_factory=dict, repr=False,
+                                  compare=False)
+    record_fragments: dict = field(default_factory=dict, repr=False,
+                                   compare=False)
 
     def resolve(self, query: Query) -> Response:
-        """Answer one query against this snapshot.
+        """Answer one query against this snapshot (the slow path).
 
         Raises :class:`ResolveError` when the engine panics (buggy
         versions do) or the engine's answer fails to decode; the caller
         turns that into SERVFAIL.
         """
+        return self.decode(query, *self.run_engine(query))
+
+    def run_engine(self, query: Query) -> Tuple[object, Dict[int, str]]:
+        """The engine's answer to ``query`` and the query's fresh-label
+        overlay; raises :class:`ResolveError` (with ``crash`` set) when
+        the engine panics."""
         codes, overlay = encode_query_name(self.encoder.interner, query.qname)
         try:
             go_resp = control.run_engine_concrete(
@@ -134,10 +190,85 @@ class ServingSnapshot:
                 f"{type(exc).__name__}: {exc}",
                 crash=exc,
             ) from exc
+        return go_resp, overlay
+
+    def decode(self, query: Query, go_resp, overlay: Dict[int, str]
+               ) -> Response:
+        """Decode an engine answer; raises :class:`ResolveError` when it
+        does not decode."""
         decoded = self.encoder.decode_response(query, go_resp, overrides=overlay)
         if decoded is None:
             raise ResolveError(f"answer for {query.to_text()} did not decode")
         return decoded
+
+    def render(self, query: Query, go_resp, overlay: Dict[int, str]
+               ) -> Optional[Tuple[int, bytes]]:
+        """``(rcode, reply bytes after the transaction id)`` for the engine
+        answer ``go_resp`` to ``query``, byte-identical to what
+        :meth:`decode` and ``build_response`` make of it. None when some
+        part of it has no fragment; the caller then takes that slow path,
+        which classifies the failure."""
+        try:
+            rcode = go_resp.rcode
+            if rcode not in _RCODES:
+                return None
+            answer = go_resp.answer
+            authority = go_resp.authority
+            additional = go_resp.additional
+            out = [
+                response_header_tail(
+                    rcode, go_resp.aa,
+                    (len(answer), len(authority), len(additional))),
+                encode_question(query),
+            ]
+            labels = self.label_fragments
+            records = self.record_fragments
+            for section in (answer, authority, additional):
+                for rr in section:
+                    codes = rr.rname
+                    if len(codes) > MAX_NAME_DEPTH:
+                        return None
+                    for code in reversed(codes):
+                        label = labels.get(code)
+                        if label is None:
+                            label = self._label_fragment(code, overlay)
+                            if label is None:
+                                return None
+                        out.append(label)
+                    out.append(b"\0")
+                    key = (rr.rtype, rr.rdata_id)
+                    tail = records.get(key)
+                    if tail is None:
+                        tail = self._record_fragment(key)
+                    out.append(tail)
+        except Exception:  # anything odd in the engine's answer
+            return None
+        return rcode, b"".join(out)
+
+    def _label_fragment(self, code: int, overlay: Dict[int, str]
+                        ) -> Optional[bytes]:
+        """One owner label's wire bytes: a query label the engine echoed
+        (rendered on the spot: overlay codes are per query) or an interned
+        label (kept). None for a gap code outside the overlay."""
+        label = overlay.get(code)
+        if label is not None:
+            return _label_wire(label)
+        label = self.encoder.interner.interned_label(code)
+        if label is None:
+            return None
+        fragment = self.label_fragments[code] = _label_wire(label)
+        return fragment
+
+    def _record_fragment(self, key: Tuple[int, int]) -> bytes:
+        """The wire bytes after the owner name of a record of type
+        ``key[0]`` carrying rdata ``key[1]``, with the TTL
+        :meth:`ZoneEncoder.decode_rr` gives it. Raises when the id is
+        unknown, the types disagree or the rdata does not encode."""
+        rtype, rdata_id = key
+        record = ResourceRecord(
+            _ROOT, RRType(rtype), self.encoder.rdata_for_id(rdata_id))
+        fragment = self.record_fragments[key] = encode_record_tail(record)
+        return fragment
 
     def describe(self) -> str:
         return (

@@ -20,6 +20,33 @@ TINY = dict(num_hosts=2, num_wildcards=1, num_delegations=0,
             num_cnames=1, num_mx=0)
 
 
+def child_pids(pid):
+    """Pids whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # The command name may hold spaces; fields resume after its ')'.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def alive(pid):
+    """True while ``pid`` runs; an exited process nobody reaped yet (a
+    zombie) is not running."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestWorkerCountIdentity:
     def test_sequential_equals_pooled(self):
         seq = run_campaign("verified", num_zones=3, seed=11, **TINY)
@@ -106,9 +133,10 @@ class TestResume:
         assert resumed.perf["units_replayed"] == 2
 
     def test_sigkill_mid_parallel_campaign_then_resume(self, tmp_path):
-        """Kill the parallel campaign's parent process mid-run; the
-        funneled checkpoint must be loadable and the resumed pooled run
-        bit-identical to an uninterrupted sequential run."""
+        """Kill the parallel campaign's parent process mid-run; its pool
+        workers must exit with it, the funneled checkpoint must be
+        loadable and the resumed pooled run bit-identical to an
+        uninterrupted sequential run."""
         ckpt = tmp_path / "killed.jsonl"
         script = (
             "import sys\n"
@@ -127,6 +155,7 @@ class TestResume:
         )
         deadline = time.monotonic() + 120
         units_at_kill = 0
+        workers = []
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 if ckpt.exists():
@@ -137,8 +166,12 @@ class TestResume:
                 lines = [l for l in ckpt.read_text().splitlines() if l.strip()]
                 if len(lines) >= 2:  # header + >= 1 unit
                     units_at_kill = len(lines) - 1
+                    workers = child_pids(proc.pid)
                     proc.kill()
                     proc.wait()
+                    assert workers, "the campaign had no pool workers"
+                    time.sleep(5)
+                    assert [pid for pid in workers if alive(pid)] == []
                     break
             time.sleep(0.01)
         else:

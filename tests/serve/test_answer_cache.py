@@ -139,36 +139,46 @@ class TestPublish:
 
 
 class TestLadderAndLimiter:
-    def test_cached_question_is_truncated_at_truncate(self):
+    def test_hit_is_answered_in_full_at_truncate(self):
+        # The rungs shed engine work; a memo hit does none, so it keeps
+        # its full answer. A question the memo lacks is still truncated.
         server = pinned_server(degrade.NORMAL)
         wire = query_wire()
-        server.handle_packet(wire, CLIENT, "udp")
-        server.handle_packet(wire, CLIENT, "udp")
+        full = server.handle_packet(wire, CLIENT, "udp")
         server.degrade.level = degrade.TRUNCATE
-        reply = server.handle_packet(wire, CLIENT, "udp")
-        uncached = pinned_server(degrade.TRUNCATE)
-        assert reply == uncached.handle_packet(wire, CLIENT, "udp")
-        assert parse_response(reply)[1].tc is True
-        assert server.metrics.truncated == 1
+        assert server.handle_packet(wire, CLIENT, "udp") == full
+        assert parse_response(full)[1].answer
         assert server.metrics.answer_cache_hits == 1
-        # TCP is not truncated: the memo answers it.
-        tcp = server.handle_packet(wire, CLIENT, "tcp")
-        assert parse_response(tcp)[1].answer
-        assert server.metrics.answer_cache_hits == 2
+        assert server.metrics.truncated == 0
+        miss = query_wire("missing.example.com.")
+        reply = server.handle_packet(miss, CLIENT, "udp")
+        assert parse_response(reply)[1].tc is True
+        assert miss[2:] not in server.snapshot.answers
+        assert server.metrics.truncated == 1
+        # TCP is never truncated: the miss resolves and is memoised.
+        tcp = server.handle_packet(miss, CLIENT, "tcp")
+        assert parse_response(tcp)[1].rcode is RCode.NXDOMAIN
+        assert miss[2:] in server.snapshot.answers
+        assert server.metrics.conservation()["conserved"]
 
-    def test_cached_question_is_shed_at_servfail_shed(self):
+    def test_hit_is_answered_in_full_at_servfail_shed(self):
         server = pinned_server(degrade.NORMAL)
         shed = next(c for c in (f"198.51.100.{i}" for i in range(256))
                     if server.degrade.should_shed(c))
         wire = query_wire()
-        server.handle_packet(wire, shed)
+        full = server.handle_packet(wire, shed)
         server.degrade.level = degrade.SERVFAIL_SHED
-        reply = server.handle_packet(wire, shed)
-        uncached = pinned_server(degrade.SERVFAIL_SHED)
-        assert reply == uncached.handle_packet(wire, shed)
+        assert server.handle_packet(wire, shed) == full
+        assert server.metrics.answer_cache_hits == 1
+        assert server.metrics.shed_servfail == 0
+        miss = query_wire("missing.example.com.")
+        reply = server.handle_packet(miss, shed)
         assert len(reply) == 12 and reply[3] & 0xF == int(RCode.SERVFAIL)
+        assert miss[2:] not in server.snapshot.answers
         assert server.metrics.shed_servfail == 1
-        assert server.metrics.answer_cache_hits == 0
+        ledger = server.metrics.conservation()
+        assert ledger["conserved"], ledger
+        assert ledger["received"] == 3
 
     def test_cached_question_is_dropped_by_the_rate_limiter(self):
         server = make_server(rate_limit=1.0, rate_burst=1.0)
