@@ -154,6 +154,7 @@ def prune_function(function: Function, widen_after: int = 8,
     if report.guards_pruned:
         report.panic_blocks_removed = _sweep_orphan_panics(function)
         validate_function(function)
+        function.decoded = None
     return report
 
 

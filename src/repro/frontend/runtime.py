@@ -48,20 +48,54 @@ class GoStruct:
     __gopy_struct__ = True
 
     def __init__(self, **kwargs: Any):
-        annotations = _collect_annotations(type(self))
-        for name, annotation in annotations.items():
-            setattr(self, name, _zero_value(annotation))
+        layout = _layout(type(self))
+        # setattr, not a __dict__ update: instances then keep CPython's
+        # compact per-class attribute storage (materialising __dict__
+        # made tld_zone(20000)'s serving snapshot ~8 MB larger).
+        for name, zero in layout.zeros.items():
+            setattr(self, name, [] if zero is _FRESH_LIST else zero)
         for name, value in kwargs.items():
-            if name not in annotations:
+            if name not in layout.zeros:
                 raise TypeError(
                     f"{type(self).__name__} has no field {name!r}"
                 )
             setattr(self, name, value)
 
     def __repr__(self) -> str:
-        annotations = _collect_annotations(type(self))
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in annotations)
+        inner = ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in _layout(type(self)).zeros
+        )
         return f"{type(self).__name__}({inner})"
+
+
+#: Stands in a layout for a list field's zero value: each instance gets a
+#: fresh ``[]``.
+_FRESH_LIST = object()
+
+
+class _Layout:
+    """What allocating one GoStruct class writes: every field's zero value
+    in declaration order, :data:`_FRESH_LIST` for list fields."""
+
+    __slots__ = ("zeros",)
+
+    def __init__(self, annotations: Dict[str, Any]):
+        self.zeros: Dict[str, Any] = {}
+        for name, annotation in annotations.items():
+            zero = _zero_value(annotation)
+            self.zeros[name] = _FRESH_LIST if isinstance(zero, list) else zero
+
+
+def _layout(cls: type) -> _Layout:
+    """The class's allocation layout, computed on its first allocation and
+    kept in the class's own ``__dict__`` (a plain attribute, never an
+    annotation, so compiling the class does not see it; each subclass
+    gets its own)."""
+    layout = cls.__dict__.get("_gostruct_layout")
+    if layout is None:
+        layout = _Layout(_collect_annotations(cls))
+        cls._gostruct_layout = layout
+    return layout
 
 
 def _collect_annotations(cls: type) -> Dict[str, Any]:

@@ -53,6 +53,10 @@ class Function:
         self.blocks: Dict[str, BasicBlock] = {}
         self.entry_label: Optional[str] = None
         self._label_counter = 0
+        #: The symbolic executor's decoded form of this function, built on
+        #: its first execution (:func:`repro.symex.executor.decode_function`).
+        #: Whatever rewrites the blocks in place must reset it to None.
+        self.decoded = None
 
     def new_block(self, hint: str = "bb") -> BasicBlock:
         label = f"{hint}{self._label_counter}"

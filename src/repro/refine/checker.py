@@ -158,7 +158,7 @@ def check_refinement(
             for spec_out in spec_outcomes:
                 if spec_out.is_panic:
                     continue
-                joint = code_out.state.pc + spec_out.state.pc
+                joint = code_out.state.pc.assume_all(spec_out.state.pc)
                 verdict = solver.check(*relation_list, path=joint)
                 if verdict is SolveResult.UNSAT:
                     continue

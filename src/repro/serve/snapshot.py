@@ -195,8 +195,17 @@ class ServingSnapshot:
     def decode(self, query: Query, go_resp, overlay: Dict[int, str]
                ) -> Response:
         """Decode an engine answer; raises :class:`ResolveError` when it
-        does not decode."""
-        decoded = self.encoder.decode_response(query, go_resp, overrides=overlay)
+        does not decode: an owner label outside the interner and the
+        overlay, an unknown rdata id, a type its rdata does not have, an
+        rcode outside :class:`RCode`, or an unrepresentable owner name."""
+        try:
+            decoded = self.encoder.decode_response(query, go_resp,
+                                                   overrides=overlay)
+        except (KeyError, ValueError) as exc:  # NameError_ is a ValueError
+            raise ResolveError(
+                f"answer for {query.to_text()} did not decode: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         if decoded is None:
             raise ResolveError(f"answer for {query.to_text()} did not decode")
         return decoded

@@ -17,8 +17,10 @@ Layout:
   branch-and-bound model search, Fourier–Motzkin fallback).
 - :mod:`repro.solver.sat` — DPLL-style search over the boolean skeleton with
   lazy theory checks.
-- :mod:`repro.solver.solver` — the incremental :class:`Solver` facade with
-  an assertion stack, caching, and validity/entailment helpers.
+- :mod:`repro.solver.pathcond` — persistent, prefix-sharing path
+  conditions (:class:`PathCondition`) and their memoised cache keys.
+- :mod:`repro.solver.solver` — the :class:`Solver` facade with fixed
+  assertions, result caching, and validity/entailment helpers.
 """
 
 from repro.solver.terms import (
@@ -50,6 +52,7 @@ from repro.solver.terms import (
     eval_expr,
     NonLinearError,
 )
+from repro.solver.pathcond import PathCondition, TRUE_PATH
 from repro.solver.solver import Solver, SolveResult, Model
 
 __all__ = [
@@ -80,6 +83,8 @@ __all__ = [
     "substitute",
     "eval_expr",
     "NonLinearError",
+    "PathCondition",
+    "TRUE_PATH",
     "Solver",
     "SolveResult",
     "Model",

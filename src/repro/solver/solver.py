@@ -2,19 +2,20 @@
 
 Plays the role Z3 plays in the paper: path-condition satisfiability during
 symbolic execution, equivalence checking during refinement, and model
-(counterexample) extraction. The facade adds an assertion stack
-(``push``/``pop``), a cross-query theory cache, and convenience entailment
-helpers on top of :mod:`repro.solver.sat`.
+(counterexample) extraction. The facade adds fixed assertions, a result
+cache keyed on the set of formulas checked, a cross-query theory cache, and
+convenience entailment helpers on top of :mod:`repro.solver.sat`.
 """
 
 from __future__ import annotations
 
 import enum
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.resilience import faults
 from repro.solver import sat
+from repro.solver.pathcond import TRUE_PATH, PathCondition
 from repro.solver.terms import (
     EQ,
     NE,
@@ -75,16 +76,13 @@ class Model:
 
 
 class Solver:
-    """Incremental solver with an assertion stack.
+    """Solver with fixed assertions and a result cache.
 
-    Typical use by the symbolic executor::
+    Typical use by the symbolic executor: one check per branch side, the
+    path condition handed over as the persistent node it already is::
 
-        solver = Solver()
-        solver.push()
-        solver.add(path_condition)
-        if solver.check() is SolveResult.SAT:
+        if solver.check(cond, path=state.pc) is SolveResult.SAT:
             model = solver.model()
-        solver.pop()
 
     UNKNOWN results are rare (budget exhaustion outside the supported
     fragment); callers decide their own sound default — the executor treats
@@ -94,11 +92,14 @@ class Solver:
 
     def __init__(self, node_limit: int = 200000, budget=None):
         self._assertions: List[BoolExpr] = []
-        self._stack: List[int] = []
         self._cache = sat.TheoryCache()
         self._node_limit = node_limit
         self._model: Optional[Model] = None
-        self._result_cache: Dict[frozenset, tuple] = {}
+        #: Formula -> its position in the bit sets that key
+        #: ``_result_cache``: a key is the set of distinct formulas of one
+        #: query (assertions, path, extras) as an int with those bits set.
+        self._formula_index: Dict[BoolExpr, int] = {}
+        self._result_cache: Dict[int, tuple] = {}
         self.num_checks = 0
         #: Seconds spent inside :meth:`check`, summed over every call.
         self.check_seconds = 0.0
@@ -115,16 +116,7 @@ class Solver:
         self.guard_prepass_unsat = 0
         self.guard_prepass_checks = 0
 
-    # -- assertion stack ---------------------------------------------------
-
-    def push(self) -> None:
-        self._stack.append(len(self._assertions))
-
-    def pop(self) -> None:
-        if not self._stack:
-            raise RuntimeError("pop without matching push")
-        depth = self._stack.pop()
-        del self._assertions[depth:]
+    # -- assertions ----------------------------------------------------------
 
     def add(self, *formulas: Union[BoolExpr, bool]) -> None:
         for formula in formulas:
@@ -141,12 +133,17 @@ class Solver:
     # -- checking ------------------------------------------------------------
 
     def check(self, *extra: Union[BoolExpr, bool], guard: bool = False,
-              path: Sequence[BoolExpr] = ()) -> SolveResult:
+              path: PathCondition = TRUE_PATH) -> SolveResult:
         """Satisfiability of the assertions plus ``path`` plus ``extra``.
 
-        ``path`` is a path condition, handed over as the list it already
-        is: its formulas must be :class:`BoolExpr` (``extra`` may also
-        hold plain bools), so they are neither splatted nor converted.
+        ``path`` is a path condition, handed over as the persistent node it
+        already is (``extra`` may also hold plain bools). Results are
+        cached on the *set* of formulas, whatever their order or
+        multiplicity; the key of ``path`` is memoised on its node, so a
+        check costs O(1) key work, and the formula list is built only when
+        the sat core actually runs — in the order assertions, path (in
+        assumption order), extras, which fixes the search order and so the
+        models.
 
         ``guard=True`` marks a panic-guard feasibility query (the
         executor's hot path): a difference-bound prepass scans the
@@ -163,7 +160,7 @@ class Solver:
         finally:
             self.check_seconds += perf_counter() - started
 
-    def _check(self, path: Sequence[BoolExpr], extra, guard: bool) -> SolveResult:
+    def _check(self, path: PathCondition, extra, guard: bool) -> SolveResult:
         # Degraded modes come first and are never result-cached: a later
         # check of the same formulas under a fresh budget must re-solve.
         if self.budget is not None and self.budget.exhausted() is not None:
@@ -175,19 +172,19 @@ class Solver:
             self._model = None
             return SolveResult.UNKNOWN
 
-        formulas = [*self._assertions, *path]
-        for formula in extra:
-            if isinstance(formula, bool):
-                formula = bool_const(formula)
-            formulas.append(formula)
-
-        key = frozenset(formulas)
+        extras = [bool_const(f) if isinstance(f, bool) else f for f in extra]
+        key = self._path_key(path)
+        for formula in self._assertions:
+            key |= self._bit(formula)
+        for formula in extras:
+            key |= self._bit(formula)
         cached = self._result_cache.get(key)
         if cached is not None:
             result, model = cached
             self._model = model
             return result
 
+        formulas = [*self._assertions, *path.formulas(), *extras]
         if guard:
             self.guard_prepass_checks += 1
             if _difference_infeasible(formulas):
@@ -208,6 +205,33 @@ class Solver:
         self._model = model
         self._result_cache[key] = (result, model)
         return result
+
+    def _bit(self, formula: BoolExpr) -> int:
+        index = self._formula_index
+        position = index.get(formula)
+        if position is None:
+            position = index[formula] = len(index)
+        return 1 << position
+
+    def _path_key(self, path: PathCondition) -> int:
+        """The bit set of ``path``'s distinct formulas, memoised on the
+        node: only the nodes since the nearest ancestor this solver has
+        already keyed are visited."""
+        index = self._formula_index
+        if path.key_owner is index:
+            return path.key
+        pending = []
+        node = path
+        while node.length and node.key_owner is not index:
+            pending.append(node.condition)
+            node = node.parent
+        key = node.key if node.length else 0
+        for formula in reversed(pending):
+            key |= self._bit(formula)
+        if path.length:
+            path.key_owner = index
+            path.key = key
+        return key
 
     def model(self) -> Model:
         if self._model is None:

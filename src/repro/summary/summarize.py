@@ -327,7 +327,7 @@ def _extract_case(
     base_pc_len: int,
     tracked_lists,
 ) -> SummaryCase:
-    condition = and_(*outcome.state.pc[base_pc_len:])
+    condition = and_(*outcome.state.pc.formulas(base_pc_len))
     if outcome.is_panic:
         return SummaryCase(condition, (), None, outcome.panic)
 

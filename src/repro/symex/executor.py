@@ -6,12 +6,20 @@ on symbolic branches after solver feasibility checks, and returning one
 state) or a reached panic block. Calls dispatch through
 :class:`~repro.symex.bindings.Bindings` so any layer can run against its
 dependencies' specifications or summaries instead of their code.
+
+Each function is *decoded* once, on its first execution
+(:func:`decode_function`): every block becomes a tuple of instruction
+handlers with their operands already resolved — register names, constants
+as interned terms, the term constructor picked by opcode, intrinsics
+picked by callee name — plus one handler for its terminator. The
+interpreter loop then only charges a step and calls the next handler.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import (
     Alloca,
@@ -37,10 +45,11 @@ from repro.ir import (
     Store,
     StructType,
 )
-from repro.ir.types import TypeRegistry
+from repro.ir.types import BoolType, IntType, TypeRegistry
 from repro.solver import Solver, SolveResult
 from repro.solver.terms import (
-    BoolConst,
+    FALSE,
+    TRUE,
     BoolExpr,
     IntExpr,
     NonLinearError,
@@ -49,7 +58,6 @@ from repro.solver.terms import (
     bool_const,
     eq,
     eval_expr,
-    free_vars,
     ge,
     gt,
     iadd,
@@ -70,7 +78,6 @@ from repro.symex.values import (
     NULL,
     Pointer,
     StructVal,
-    UNINIT,
 )
 
 
@@ -220,109 +227,74 @@ class Executor:
     def _exec_function(
         self, state: PathState, fn: Function, args, depth: int
     ) -> List[Outcome]:
-        if len(args) != len(fn.params):
+        code = fn.decoded
+        if code is None:
+            code = fn.decoded = decode_function(fn)
+        if len(args) != len(code.params):
             raise SymexError(
-                f"{fn.name} expects {len(fn.params)} args, got {len(args)}"
+                f"{fn.name} expects {len(code.params)} args, got {len(args)}"
             )
-        regs: Dict[str, object] = {
-            pname: value for (pname, _), value in zip(fn.params, args)
-        }
+        regs = _Frame(code.constants)
+        for pname, value in zip(code.params, args):
+            regs[pname] = value
         results: List[Outcome] = []
-        work = [(state, regs, fn.entry_label, 0)]
+        work = [(state, regs, code.entry, 0)]
+        stats = self.stats
+        max_steps = self.max_steps
         budget = self.budget
 
         while work:
-            state, regs, label, start = work.pop()
-            block = fn.blocks[label]
-            insns = block.instructions
-            i = start
-            diverted = False
-            while i < len(insns):
-                self.stats.steps += 1
-                if self.stats.steps > self.max_steps:
+            state, regs, block, start = work.pop()
+            ops = block.ops
+            for i in range(start, len(ops)):
+                # One step (and one fuel) per instruction, charged before
+                # it runs, so exhaustion lands on the same instruction
+                # whatever the instruction is.
+                stats.steps += 1
+                if stats.steps > max_steps:
                     raise OutOfBudgetError(f"step budget exhausted in {fn.name}")
                 if budget is not None:
                     budget.charge()
-                insn = insns[i]
-                if isinstance(insn, Call):
-                    outcomes = self._do_call(state, regs, insn, depth)
-                    if len(outcomes) == 1 and not outcomes[0].is_panic:
-                        state = outcomes[0].state
-                        if insn.dest is not None:
-                            regs[insn.dest.name] = outcomes[0].value
-                        i += 1
-                        continue
-                    for out in outcomes:
-                        if out.is_panic:
-                            results.append(out)
-                        else:
-                            new_regs = dict(regs)
-                            if insn.dest is not None:
-                                new_regs[insn.dest.name] = out.value
-                            work.append((out.state, new_regs, label, i + 1))
-                            self.stats.forks += 1
-                    diverted = True
-                    break
                 try:
-                    self._exec_simple(state, regs, insn)
+                    outcomes = ops[i](self, state, regs, depth)
                 except _NeedsConcretization as fork_request:
-                    self._fork_on_index(state, regs, label, i, fork_request, work)
-                    diverted = True
+                    self._fork_on_index(state, regs, block, i, fork_request, work)
                     break
-                i += 1
-            if diverted:
-                continue
-
-            term = block.terminator
-            if isinstance(term, Ret):
-                value = (
-                    self._eval(regs, term.value) if term.value is not None else None
-                )
-                results.append(Outcome(state, value, None))
-            elif isinstance(term, Br):
-                work.append((state, regs, term.target, 0))
-            elif isinstance(term, CondBr):
-                cond = self._eval(regs, term.cond)
-                then_block = fn.blocks.get(term.then_label)
-                else_block = fn.blocks.get(term.else_label)
-                if isinstance(
-                    then_block.terminator if then_block else None, Panic
-                ) or isinstance(
-                    else_block.terminator if else_block else None, Panic
-                ):
-                    before = self.stats.solver_checks
-                    self._branch(state, regs, cond, term, work, guard=True)
-                    spent = self.stats.solver_checks - before
-                    self.stats.panic_guard_checks += spent
-                    if spent:
-                        by_fn = self.stats.guard_checks_by_function
-                        by_fn[fn.name] = by_fn.get(fn.name, 0) + spent
-                else:
-                    self._branch(state, regs, cond, term, work)
-            elif isinstance(term, ElidedGuardBr):
-                self._cross_elided_guard(state, regs, term, fn, work, results)
-            elif isinstance(term, Panic):
-                results.append(
-                    Outcome(state, None, PanicInfo(term.kind, term.message, fn.name))
-                )
+                if outcomes is None:
+                    continue
+                # A call: continue in place on a single normal return,
+                # otherwise queue one continuation per returned path.
+                dest = block.call_dests[i]
+                if len(outcomes) == 1 and outcomes[0].panic is None:
+                    state = outcomes[0].state
+                    if dest is not None:
+                        regs[dest] = outcomes[0].value
+                    continue
+                for out in outcomes:
+                    if out.panic is not None:
+                        results.append(out)
+                    else:
+                        new_regs = _Frame(regs)
+                        if dest is not None:
+                            new_regs[dest] = out.value
+                        work.append((out.state, new_regs, block, i + 1))
+                        stats.forks += 1
+                break
             else:
-                raise SymexError(f"{fn.name}: unterminated block {label}")
-
-            if len(results) + len(work) > self.max_paths:
-                raise OutOfBudgetError(
-                    f"path budget exhausted in {fn.name} "
-                    f"({len(results)} results, {len(work)} pending)"
-                )
+                block.terminator(self, state, regs, work, results)
+                if len(results) + len(work) > self.max_paths:
+                    raise OutOfBudgetError(
+                        f"path budget exhausted in {fn.name} "
+                        f"({len(results)} results, {len(work)} pending)"
+                    )
         return results
 
-    def _branch(self, state, regs, cond, term: CondBr, work,
+    def _branch(self, state, regs, cond, then_block, else_block, work,
                 guard: bool = False) -> None:
         if not isinstance(cond, BoolExpr):
             raise SymexError(f"condition is not boolean: {cond!r}")
-        folded = _as_concrete_bool(cond)
-        if folded is not None:
-            target = term.then_label if folded else term.else_label
-            work.append((state, regs, target, 0))
+        if cond is TRUE or cond is FALSE:
+            work.append((state, regs, then_block if cond is TRUE else else_block, 0))
             return
         negated = not_(cond)
         # Witness shortcut: a model satisfying pc decides one side for free
@@ -330,7 +302,7 @@ class Executor:
         # variables are unconstrained by pc).
         witness_says: Optional[bool] = None
         if state.witness is not None:
-            witness_says = bool(_eval_with_default(cond, state.witness))
+            witness_says = bool(eval_expr(cond, state.witness))
         true_witness = state.witness if witness_says is True else None
         false_witness = state.witness if witness_says is False else None
         if witness_says is True:
@@ -354,23 +326,23 @@ class Executor:
             other = state.fork()
             other.assume(negated)
             other.witness = false_witness
-            work.append((other, dict(regs), term.else_label, 0))
+            work.append((other, _Frame(regs), else_block, 0))
             state.assume(cond)
             state.witness = true_witness
-            work.append((state, regs, term.then_label, 0))
+            work.append((state, regs, then_block, 0))
             self.stats.forks += 1
         elif feasible_true:
             state.assume(cond)
             state.witness = true_witness
-            work.append((state, regs, term.then_label, 0))
+            work.append((state, regs, then_block, 0))
         elif feasible_false:
             state.assume(negated)
             state.witness = false_witness
-            work.append((state, regs, term.else_label, 0))
+            work.append((state, regs, else_block, 0))
         # both infeasible: dead path (possible when UNKNOWNs were explored).
 
-    def _cross_elided_guard(self, state, regs, term: ElidedGuardBr, fn, work,
-                            results):
+    def _cross_elided_guard(self, state, regs, cond, term: ElidedGuardBr,
+                            function_name: str, target, work, results):
         """Cross a panic guard the static analysis elided.
 
         The unpruned executor would solver-check both sides, find the
@@ -381,12 +353,10 @@ class Executor:
         stays bit-identical to the unpruned run; only solver-check
         counters differ.
         """
-        cond = self._eval(regs, term.cond)
         if not isinstance(cond, BoolExpr):
             raise SymexError(f"condition is not boolean: {cond!r}")
-        folded = _as_concrete_bool(cond)
-        if folded is not None:
-            if folded == term.panic_on_true:
+        if cond is TRUE or cond is FALSE:
+            if (cond is TRUE) == term.panic_on_true:
                 # The condition folded onto the panic side. On a feasible
                 # path that would mean the static proof was wrong — but it
                 # also happens on *infeasible* paths the executor explores
@@ -397,16 +367,16 @@ class Executor:
                 # machinery classify it; reproduce that outcome exactly.
                 results.append(
                     Outcome(state, None,
-                            PanicInfo(term.kind, term.message, fn.name))
+                            PanicInfo(term.kind, term.message, function_name))
                 )
                 return
-            work.append((state, regs, term.target, 0))
+            work.append((state, regs, target, 0))
             return
         survive = not_(cond) if term.panic_on_true else cond
         self.stats.pruned_guard_hits += 1
         self.stats.pruned_checks_avoided += 1 if state.witness is not None else 2
         by_fn = self.stats.pruned_hits_by_function
-        by_fn[fn.name] = by_fn.get(fn.name, 0) + 1
+        by_fn[function_name] = by_fn.get(function_name, 0) + 1
         if self.analysis_check and term.site not in self._checked_sites:
             self._checked_sites.add(term.site)
             panic_cond = cond if term.panic_on_true else not_(cond)
@@ -417,14 +387,14 @@ class Executor:
                     f"{term.kind} guard at {term.site} is satisfiable"
                 )
         state.assume(survive)
-        work.append((state, regs, term.target, 0))
+        work.append((state, regs, target, 0))
 
     def _feasible_with_model(self, pc, cond, guard: bool = False):
         """Is ``pc`` plus ``cond`` satisfiable, and with which model?"""
         self.stats.solver_checks += 1
         verdict = self.solver.check(cond, guard=guard, path=pc)
         if verdict is SolveResult.SAT:
-            return True, self.solver.model().as_dict()
+            return True, _Witness(self.solver.model().as_dict())
         if verdict is SolveResult.UNKNOWN:
             return True, None
         return False, None
@@ -433,7 +403,7 @@ class Executor:
         self.stats.solver_checks += 1
         return self.solver.check(cond, path=pc) is not SolveResult.UNSAT
 
-    def _fork_on_index(self, state, regs, label, i, fork_request, work) -> None:
+    def _fork_on_index(self, state, regs, block, i, fork_request, work) -> None:
         """Concretization by forking: retry the same instruction once per
         feasible concrete value of the symbolic index."""
         content = state.memory.content(fork_request.block_id)
@@ -452,80 +422,14 @@ class Executor:
             branch = state.fork()
             branch.assume(pin)
             branch.witness = None
-            work.append((branch, dict(regs), label, i))
+            work.append((branch, _Frame(regs), block, i))
             forked += 1
         # An index value outside every physical slot would be a memory error;
         # the compiled bounds checks make that infeasible, so nothing to add.
         if forked:
             self.stats.forks += forked - 1
 
-    # -- instruction semantics ------------------------------------------------------
-
-    def _exec_simple(self, state: PathState, regs, insn) -> None:
-        if isinstance(insn, BinOp):
-            regs[insn.dest.name] = self._binop(
-                insn.op, self._eval(regs, insn.lhs), self._eval(regs, insn.rhs)
-            )
-        elif isinstance(insn, ICmp):
-            regs[insn.dest.name] = self._icmp(
-                insn.pred, self._eval(regs, insn.lhs), self._eval(regs, insn.rhs)
-            )
-        elif isinstance(insn, Alloca):
-            regs[insn.dest.name] = state.memory.alloc_slot()
-        elif isinstance(insn, Load):
-            ptr = self._pointer(self._eval(regs, insn.ptr))
-            ptr = self._concretize_path(state, ptr)
-            regs[insn.dest.name] = state.memory.load(ptr)
-        elif isinstance(insn, Store):
-            ptr = self._pointer(self._eval(regs, insn.ptr))
-            ptr = self._concretize_path(state, ptr)
-            state.memory.store(ptr, self._eval(regs, insn.value))
-        elif isinstance(insn, GEP):
-            base = self._pointer(self._eval(regs, insn.base))
-            if base.is_null:
-                raise SymexError("getelementptr on nil pointer (missing guard?)")
-            if base.path:
-                raise SymexError("nested getelementptr is not supported")
-            if len(insn.indices) != 1:
-                raise SymexError("multi-index getelementptr is not supported")
-            index = self._eval(regs, insn.indices[0])
-            if isinstance(index, IntExpr) and index.is_const:
-                index = index.const
-            regs[insn.dest.name] = base.child(index)
-        else:
-            raise SymexError(f"unknown instruction {insn!r}")
-
-    def _do_call(self, state: PathState, regs, insn: Call, depth: int) -> List[Outcome]:
-        args = [self._eval(regs, a) for a in insn.args]
-        callee = insn.callee
-        if callee == "list.new":
-            ptr = state.memory.alloc(ListVal.concrete(()))
-            return [Outcome(state, ptr)]
-        if callee == "list.len":
-            content = self._list_content(state, args[0])
-            return [Outcome(state, content.length)]
-        if callee == "list.append":
-            ptr = self._pointer(args[0])
-            content = self._list_content(state, args[0])
-            try:
-                state.memory.replace(ptr.block_id, content.appended(args[1]))
-            except ValueError as exc:
-                raise SymexError(str(exc)) from exc
-            return [Outcome(state, None)]
-        if callee == "newobject":
-            type_hint = insn.type_hint
-            if not isinstance(type_hint, (NamedType, StructType)):
-                raise SymexError(f"newobject needs a struct type hint, got {type_hint!r}")
-            ptr = self._new_object(state, self.registry.resolve(type_hint))
-            return [Outcome(state, ptr)]
-        if callee == "assume":
-            cond = args[0]
-            if not isinstance(cond, BoolExpr):
-                raise SymexError("assume() needs a boolean")
-            state.assume(cond)
-            state.witness = None  # witness may not satisfy the new condition
-            return [Outcome(state, None)]
-        return self._call(state, callee, args, depth + 1)
+    # -- value helpers ----------------------------------------------------------
 
     def _new_object(self, state: PathState, struct: StructType) -> Pointer:
         fields = []
@@ -534,41 +438,18 @@ class Executor:
         return state.memory.alloc(StructVal(struct.name, tuple(fields)))
 
     def _default_value(self, state: PathState, ty):
-        from repro.ir.types import BoolType, IntType
-
         if isinstance(ty, IntType):
             return iconst(0)
         if isinstance(ty, BoolType):
-            return bool_const(False)
+            return FALSE
         if isinstance(ty, PointerType):
             if isinstance(ty.pointee, ListType):
                 return state.memory.alloc(ListVal.concrete(()))
             return NULL
         raise SymexError(f"no default value for field type {ty!r}")
 
-    # -- value helpers ----------------------------------------------------------
-
-    def _eval(self, regs, operand):
-        if isinstance(operand, Register):
-            try:
-                return regs[operand.name]
-            except KeyError:
-                raise SymexError(f"read of unset register %{operand.name}") from None
-        if isinstance(operand, ConstInt):
-            return iconst(operand.value)
-        if isinstance(operand, ConstBool):
-            return bool_const(operand.value)
-        if isinstance(operand, ConstNull):
-            return NULL
-        raise SymexError(f"cannot evaluate operand {operand!r}")
-
-    def _pointer(self, value) -> Pointer:
-        if not isinstance(value, Pointer):
-            raise SymexError(f"expected a pointer, got {value!r}")
-        return value
-
     def _list_content(self, state: PathState, value) -> ListVal:
-        ptr = self._pointer(value)
+        ptr = _pointer(value)
         if ptr.is_null:
             raise SymexError("list operation on nil pointer (missing guard?)")
         if ptr.path:
@@ -605,66 +486,6 @@ class Executor:
             raise _NeedsConcretization(ptr.block_id, index)
         raise SymexError(f"bad pointer path element {index!r}")
 
-    def _binop(self, op, lhs, rhs):
-        if op in ("add", "sub", "mul"):
-            if not isinstance(lhs, IntExpr) or not isinstance(rhs, IntExpr):
-                raise SymexError(f"{op} needs ints, got {lhs!r}, {rhs!r}")
-            try:
-                if op == "add":
-                    return iadd(lhs, rhs)
-                if op == "sub":
-                    return isub(lhs, rhs)
-                return imul(lhs, rhs)
-            except NonLinearError as exc:
-                raise SymexError(str(exc)) from exc
-        if op in ("and", "or", "xor"):
-            if not isinstance(lhs, BoolExpr) or not isinstance(rhs, BoolExpr):
-                raise SymexError(f"{op} needs bools, got {lhs!r}, {rhs!r}")
-            if op == "and":
-                return and_(lhs, rhs)
-            if op == "or":
-                return or_(lhs, rhs)
-            return or_(and_(lhs, not_(rhs)), and_(not_(lhs), rhs))
-        raise SymexError(f"unknown binop {op!r}")
-
-    _INT_CMP = {
-        "eq": eq,
-        "ne": ne,
-        "slt": lt,
-        "sle": le,
-        "sgt": gt,
-        "sge": ge,
-    }
-
-    def _icmp(self, pred, lhs, rhs):
-        if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
-            if not (isinstance(lhs, Pointer) and isinstance(rhs, Pointer)):
-                raise SymexError(f"pointer compared with non-pointer: {lhs!r}, {rhs!r}")
-            if pred not in ("eq", "ne"):
-                raise SymexError(f"pointers only compare eq/ne, got {pred}")
-            same = lhs == rhs
-            return bool_const(same if pred == "eq" else not same)
-        if isinstance(lhs, BoolExpr) and isinstance(rhs, BoolExpr):
-            if pred == "eq":
-                return beq(lhs, rhs)
-            if pred == "ne":
-                return not_(beq(lhs, rhs))
-            raise SymexError(f"bools only compare eq/ne, got {pred}")
-        if isinstance(lhs, IntExpr) and isinstance(rhs, IntExpr):
-            return self._INT_CMP[pred](lhs, rhs)
-        raise SymexError(f"cannot compare {lhs!r} with {rhs!r}")
-
-
-def _eval_with_default(expr: BoolExpr, model: dict) -> bool:
-    filled = {name: model.get(name, 0) for name in free_vars(expr)}
-    return bool(eval_expr(expr, filled))
-
-
-def _as_concrete_bool(value: BoolExpr) -> Optional[bool]:
-    if isinstance(value, BoolConst):
-        return value.value
-    return None
-
 
 class _NeedsConcretization(Exception):
     """Internal signal: a memory access used a truly symbolic index and the
@@ -674,3 +495,488 @@ class _NeedsConcretization(Exception):
         super().__init__(f"symbolic index into b{block_id}")
         self.block_id = block_id
         self.index = index
+
+
+class _Frame(dict):
+    """One activation's registers, keyed by register name. It starts as a
+    copy of the function's constant pool (int keys, which no register name
+    collides with), so every operand is read the same way."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        if isinstance(name, _Unreadable):
+            raise SymexError(f"cannot evaluate operand {name.operand!r}")
+        raise SymexError(f"read of unset register %{name}")
+
+
+def _pointer(value) -> Pointer:
+    if not isinstance(value, Pointer):
+        raise SymexError(f"expected a pointer, got {value!r}")
+    return value
+
+
+class _Witness(dict):
+    """A model known to satisfy a path's condition. Variables it does not
+    mention read as 0 (false): the condition leaves them unconstrained,
+    so any completion of the model satisfies it too."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        return 0
+
+
+# ---------------------------------------------------------------------------
+# Decoding: each function once into per-block handler tuples.
+# ---------------------------------------------------------------------------
+
+#: An instruction handler: ``(executor, state, regs, depth)``. It returns
+#: None, or — for a call into code, a spec or a summary — the callee's
+#: outcomes.
+Handler = Callable[["Executor", PathState, _Frame, int], Optional[List[Outcome]]]
+
+
+class DecodedBlock:
+    """One basic block, ready to run: ``ops[i]`` executes instruction
+    ``i``; ``call_dests[i]`` is the register a call at ``i`` writes (or
+    None); ``terminator`` is ``(executor, state, regs, work, results)``."""
+
+    __slots__ = ("ops", "call_dests", "terminator")
+
+    def __init__(self):
+        self.ops: Tuple[Handler, ...] = ()
+        self.call_dests: Tuple[Optional[str], ...] = ()
+        self.terminator = None
+
+
+class DecodedFunction:
+    """A function's parameter names, entry block (the rest hang off its
+    terminators) and constant pool (operand key -> interned term)."""
+
+    __slots__ = ("params", "entry", "constants")
+
+    def __init__(self, params, entry, constants):
+        self.params: Tuple[str, ...] = params
+        self.entry: DecodedBlock = entry
+        self.constants: Dict[int, object] = constants
+
+
+def decode_function(fn: Function) -> DecodedFunction:
+    """Decode ``fn`` for the interpreter.
+
+    The result lives on the function (``fn.decoded``), so it is shared by
+    every executor and dies with the IR; anything that rewrites the blocks
+    in place resets that slot. Callees stay names: bindings are looked up
+    at each call, because layers rebind them between runs. Decoding never
+    raises — malformed instructions decode to handlers that raise the
+    interpreter's error when (and only when) they execute.
+    """
+    decoder = _Decoder(fn)
+    for label, block in fn.blocks.items():
+        decoded = decoder.blocks[label]
+        ops = []
+        dests = []
+        for insn in block.instructions:
+            handler, dest = decoder.instruction(insn)
+            ops.append(handler)
+            dests.append(dest)
+        decoded.ops = tuple(ops)
+        decoded.call_dests = tuple(dests)
+        decoded.terminator = decoder.terminator(label, block.terminator)
+    entry = decoder.block(fn.entry_label)
+    params = tuple(name for name, _ in fn.params)
+    return DecodedFunction(params, entry, decoder.constants)
+
+
+_ARITH = {"add": iadd, "sub": isub, "mul": imul}
+_CONST_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_INT_CMP = {"eq": eq, "ne": ne, "slt": lt, "sle": le, "sgt": gt, "sge": ge}
+_CONST_CMP = {
+    "eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
+    "sle": operator.le, "sgt": operator.gt, "sge": operator.ge,
+}
+
+
+class _Decoder:
+    """Builds the handlers of one function."""
+
+    def __init__(self, fn: Function):
+        self.fn = fn
+        self.blocks = {label: DecodedBlock() for label in fn.blocks}
+        self.constants: Dict[int, object] = {}
+        self._constant_keys: Dict[object, int] = {}
+
+    # -- operands ---------------------------------------------------------------
+
+    def operand(self, value):
+        """The frame key ``value`` is read under: a register's name, or
+        the constant pool slot of an interned constant."""
+        if isinstance(value, Register):
+            return value.name
+        if isinstance(value, ConstInt):
+            term = iconst(value.value)
+        elif isinstance(value, ConstBool):
+            term = bool_const(value.value)
+        elif isinstance(value, ConstNull):
+            term = NULL
+        else:
+            return _Unreadable(value)
+        key = self._constant_keys.get(term)
+        if key is None:
+            key = self._constant_keys[term] = len(self.constants)
+            self.constants[key] = term
+        return key
+
+    def block(self, label) -> DecodedBlock:
+        decoded = self.blocks.get(label)
+        if decoded is None:
+            # A branch to a label the function lacks fails when taken,
+            # exactly as the block lookup would.
+            decoded = DecodedBlock()
+            decoded.terminator = _missing_block(label)
+        return decoded
+
+    # -- instructions -------------------------------------------------------------
+
+    def instruction(self, insn) -> Tuple[Handler, Optional[str]]:
+        if isinstance(insn, Call):
+            return self.call(insn)
+        if isinstance(insn, BinOp):
+            return self.binop(insn), None
+        if isinstance(insn, ICmp):
+            return self.icmp(insn), None
+        if isinstance(insn, Alloca):
+            return _alloca(insn.dest.name), None
+        if isinstance(insn, Load):
+            return _load(self.operand(insn.ptr), insn.dest.name), None
+        if isinstance(insn, Store):
+            return _store(self.operand(insn.ptr), self.operand(insn.value)), None
+        if isinstance(insn, GEP):
+            return self.gep(insn), None
+        return _raiser(f"unknown instruction {insn!r}"), None
+
+    def binop(self, insn: BinOp) -> Handler:
+        dest, op = insn.dest.name, insn.op
+        lhs, rhs = self.operand(insn.lhs), self.operand(insn.rhs)
+        if op in _ARITH:
+            return _arith(op, _ARITH[op], _CONST_ARITH[op], lhs, rhs, dest)
+        if op in ("and", "or", "xor"):
+            return _logic(op, lhs, rhs, dest)
+        return _raiser(f"unknown binop {op!r}", (lhs, rhs))
+
+    def icmp(self, insn: ICmp) -> Handler:
+        return _compare(insn.pred, self.operand(insn.lhs),
+                        self.operand(insn.rhs), insn.dest.name)
+
+    def gep(self, insn: GEP) -> Handler:
+        base = self.operand(insn.base)
+        dest = insn.dest.name
+        if len(insn.indices) != 1:
+            return _gep(base, None, dest, None)
+        (index,) = insn.indices
+        if isinstance(index, ConstInt):
+            return _gep(base, None, dest, index.value)
+        return _gep(base, self.operand(index), dest, None)
+
+    def call(self, insn: Call) -> Tuple[Handler, Optional[str]]:
+        args = tuple(self.operand(arg) for arg in insn.args)
+        dest = insn.dest.name if insn.dest is not None else None
+        act = _INTRINSICS.get(insn.callee)
+        if act is not None:
+            return _intrinsic(act, args, dest, insn.type_hint), None
+        return _call(insn.callee, args), dest
+
+    # -- terminators --------------------------------------------------------------
+
+    def terminator(self, label: str, term):
+        fn_name = self.fn.name
+        if isinstance(term, Ret):
+            value = self.operand(term.value) if term.value is not None else None
+            return _ret(value)
+        if isinstance(term, Br):
+            return _br(self.block(term.target))
+        if isinstance(term, CondBr):
+            cond = self.operand(term.cond)
+            then_block = self.block(term.then_label)
+            else_block = self.block(term.else_label)
+            if self._panics(term.then_label) or self._panics(term.else_label):
+                return _guard_branch(cond, then_block, else_block, fn_name)
+            return _branch(cond, then_block, else_block)
+        if isinstance(term, ElidedGuardBr):
+            return _elided_guard(self.operand(term.cond), term,
+                                 self.block(term.target), fn_name)
+        if isinstance(term, Panic):
+            return _panic(PanicInfo(term.kind, term.message, fn_name))
+        return _unterminated(f"{fn_name}: unterminated block {label}")
+
+    def _panics(self, label: str) -> bool:
+        block = self.fn.blocks.get(label)
+        return block is not None and isinstance(block.terminator, Panic)
+
+
+class _Unreadable:
+    """Frame key of an operand that is not a value: no frame holds it, so
+    reading it fails with the interpreter's error."""
+
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+
+def _raiser(message: str, reads: Tuple = ()) -> Handler:
+    def run(ex, state, regs, depth):
+        for key in reads:
+            regs[key]
+        raise SymexError(message)
+    return run
+
+
+def _alloca(dest: str) -> Handler:
+    def run(ex, state, regs, depth):
+        regs[dest] = state.memory.alloc_slot()
+    return run
+
+
+def _load(ptr_key, dest: str) -> Handler:
+    def run(ex, state, regs, depth):
+        ptr = regs[ptr_key]
+        if ptr.__class__ is not Pointer:
+            ptr = _pointer(ptr)
+        if ptr.path:
+            ptr = ex._concretize_path(state, ptr)
+        regs[dest] = state.memory.load(ptr)
+    return run
+
+
+def _store(ptr_key, value_key) -> Handler:
+    def run(ex, state, regs, depth):
+        ptr = regs[ptr_key]
+        if ptr.__class__ is not Pointer:
+            ptr = _pointer(ptr)
+        if ptr.path:
+            ptr = ex._concretize_path(state, ptr)
+        state.memory.store(ptr, regs[value_key])
+    return run
+
+
+def _gep(base_key, index_key, dest: str, const_index: Optional[int]) -> Handler:
+    """``index_key`` and ``const_index`` both None: a multi-index GEP,
+    which fails once its base checks out."""
+    def run(ex, state, regs, depth):
+        base = regs[base_key]
+        if base.__class__ is not Pointer:
+            base = _pointer(base)
+        if base.block_id is None:
+            raise SymexError("getelementptr on nil pointer (missing guard?)")
+        if base.path:
+            raise SymexError("nested getelementptr is not supported")
+        if const_index is not None:
+            index = const_index
+        elif index_key is None:
+            raise SymexError("multi-index getelementptr is not supported")
+        else:
+            index = regs[index_key]
+            if index.__class__ is IntExpr and not index.coeffs:
+                index = index.const
+        regs[dest] = Pointer(base.block_id, (index,))
+    return run
+
+
+def _arith(op: str, build, fold, lhs_key, rhs_key, dest: str) -> Handler:
+    def run(ex, state, regs, depth):
+        lhs = regs[lhs_key]
+        rhs = regs[rhs_key]
+        if lhs.__class__ is not IntExpr or rhs.__class__ is not IntExpr:
+            raise SymexError(f"{op} needs ints, got {lhs!r}, {rhs!r}")
+        if not lhs.coeffs and not rhs.coeffs:
+            regs[dest] = IntExpr((), fold(lhs.const, rhs.const))
+            return
+        try:
+            regs[dest] = build(lhs, rhs)
+        except NonLinearError as exc:
+            raise SymexError(str(exc)) from exc
+    return run
+
+
+def _logic(op: str, lhs_key, rhs_key, dest: str) -> Handler:
+    def run(ex, state, regs, depth):
+        lhs = regs[lhs_key]
+        rhs = regs[rhs_key]
+        if not isinstance(lhs, BoolExpr) or not isinstance(rhs, BoolExpr):
+            raise SymexError(f"{op} needs bools, got {lhs!r}, {rhs!r}")
+        if op == "and":
+            regs[dest] = and_(lhs, rhs)
+        elif op == "or":
+            regs[dest] = or_(lhs, rhs)
+        else:
+            regs[dest] = or_(and_(lhs, not_(rhs)), and_(not_(lhs), rhs))
+    return run
+
+
+def _compare(pred: str, lhs_key, rhs_key, dest: str) -> Handler:
+    build = _INT_CMP.get(pred)
+    fold = _CONST_CMP.get(pred)
+    equal = pred == "eq"
+    pointers = equal or pred == "ne"
+
+    def run(ex, state, regs, depth):
+        lhs = regs[lhs_key]
+        rhs = regs[rhs_key]
+        if lhs.__class__ is IntExpr and rhs.__class__ is IntExpr:
+            if not lhs.coeffs and not rhs.coeffs:
+                regs[dest] = TRUE if fold(lhs.const, rhs.const) else FALSE
+            else:
+                regs[dest] = build(lhs, rhs)
+        elif pointers and lhs.__class__ is Pointer and rhs.__class__ is Pointer:
+            same = lhs.block_id == rhs.block_id and lhs.path == rhs.path
+            regs[dest] = TRUE if same == equal else FALSE
+        else:
+            regs[dest] = _compare_values(pred, lhs, rhs)
+    return run
+
+
+def _compare_values(pred: str, lhs, rhs):
+    """``icmp`` on pointers, bools, or anything not two ints."""
+    if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
+        if not (isinstance(lhs, Pointer) and isinstance(rhs, Pointer)):
+            raise SymexError(f"pointer compared with non-pointer: {lhs!r}, {rhs!r}")
+        if pred not in ("eq", "ne"):
+            raise SymexError(f"pointers only compare eq/ne, got {pred}")
+        same = lhs == rhs
+        return bool_const(same if pred == "eq" else not same)
+    if isinstance(lhs, BoolExpr) and isinstance(rhs, BoolExpr):
+        if pred == "eq":
+            return beq(lhs, rhs)
+        if pred == "ne":
+            return not_(beq(lhs, rhs))
+        raise SymexError(f"bools only compare eq/ne, got {pred}")
+    if isinstance(lhs, IntExpr) and isinstance(rhs, IntExpr):
+        return _INT_CMP[pred](lhs, rhs)
+    raise SymexError(f"cannot compare {lhs!r} with {rhs!r}")
+
+
+def _call(callee: str, arg_keys: Tuple) -> Handler:
+    def run(ex, state, regs, depth):
+        args = [regs[key] for key in arg_keys]
+        return ex._call(state, callee, args, depth + 1)
+    return run
+
+
+# -- intrinsics -------------------------------------------------------------------
+
+
+def _intrinsic(act, arg_keys: Tuple, dest: Optional[str], type_hint) -> Handler:
+    """A call the executor implements natively: read every argument, then
+    ``act(executor, state, args, type_hint)`` gives the result."""
+    def run(ex, state, regs, depth):
+        value = act(ex, state, [regs[key] for key in arg_keys], type_hint)
+        if dest is not None:
+            regs[dest] = value
+    return run
+
+
+def _list_new(ex, state, args, type_hint):
+    return state.memory.alloc(ListVal.concrete(()))
+
+
+def _list_len(ex, state, args, type_hint):
+    return ex._list_content(state, args[0]).length
+
+
+def _list_append(ex, state, args, type_hint):
+    ptr = _pointer(args[0])
+    content = ex._list_content(state, args[0])
+    try:
+        state.memory.replace(ptr.block_id, content.appended(args[1]))
+    except ValueError as exc:
+        raise SymexError(str(exc)) from exc
+
+
+def _newobject(ex, state, args, type_hint):
+    if not isinstance(type_hint, (NamedType, StructType)):
+        raise SymexError(f"newobject needs a struct type hint, got {type_hint!r}")
+    return ex._new_object(state, ex.registry.resolve(type_hint))
+
+
+def _assume(ex, state, args, type_hint):
+    cond = args[0]
+    if not isinstance(cond, BoolExpr):
+        raise SymexError("assume() needs a boolean")
+    state.assume(cond)
+    state.witness = None  # witness may not satisfy the new condition
+
+
+_INTRINSICS = {
+    "list.new": _list_new,
+    "list.len": _list_len,
+    "list.append": _list_append,
+    "newobject": _newobject,
+    "assume": _assume,
+}
+
+
+# -- terminators -----------------------------------------------------------------
+
+
+def _ret(value_key):
+    def run(ex, state, regs, work, results):
+        value = regs[value_key] if value_key is not None else None
+        results.append(Outcome(state, value, None))
+    return run
+
+
+def _br(target: DecodedBlock):
+    def run(ex, state, regs, work, results):
+        work.append((state, regs, target, 0))
+    return run
+
+
+def _branch(cond_key, then_block: DecodedBlock, else_block: DecodedBlock):
+    def run(ex, state, regs, work, results):
+        ex._branch(state, regs, regs[cond_key], then_block, else_block, work)
+    return run
+
+
+def _guard_branch(cond_key, then_block: DecodedBlock,
+                  else_block: DecodedBlock, fn_name: str):
+    """A CondBr with a panic successor: its solver checks are counted as
+    guard checks, per function."""
+    def run(ex, state, regs, work, results):
+        cond = regs[cond_key]
+        stats = ex.stats
+        before = stats.solver_checks
+        ex._branch(state, regs, cond, then_block, else_block, work, guard=True)
+        spent = stats.solver_checks - before
+        stats.panic_guard_checks += spent
+        if spent:
+            by_fn = stats.guard_checks_by_function
+            by_fn[fn_name] = by_fn.get(fn_name, 0) + spent
+    return run
+
+
+def _elided_guard(cond_key, term: ElidedGuardBr, target: DecodedBlock,
+                  fn_name: str):
+    def run(ex, state, regs, work, results):
+        ex._cross_elided_guard(state, regs, regs[cond_key], term, fn_name,
+                               target, work, results)
+    return run
+
+
+def _panic(info: PanicInfo):
+    def run(ex, state, regs, work, results):
+        results.append(Outcome(state, None, info))
+    return run
+
+
+def _unterminated(message: str):
+    def run(ex, state, regs, work, results):
+        raise SymexError(message)
+    return run
+
+
+def _missing_block(label: str):
+    def run(ex, state, regs, work, results):
+        raise KeyError(label)
+    return run

@@ -20,6 +20,10 @@ from repro.symex.errors import SymexError
 from repro.symex.values import ListVal, Pointer, StructVal, UNINIT
 
 
+#: ``_blocks.get`` default that no block content can be.
+_DANGLING = object()
+
+
 class Memory:
     """Block store with copy-on-fork semantics."""
 
@@ -52,50 +56,56 @@ class Memory:
             raise SymexError(f"dangling block id {block_id}") from None
 
     def load(self, ptr: Pointer):
-        if ptr.is_null:
+        block_id = ptr.block_id
+        if block_id is None:
             raise SymexError("load through nil pointer (missing guard?)")
-        content = self.content(ptr.block_id)
+        content = self._blocks.get(block_id, _DANGLING)
+        if content is _DANGLING:
+            raise SymexError(f"dangling block id {block_id}")
         if not ptr.path:
             if content is UNINIT:
-                raise SymexError(f"load of uninitialised slot b{ptr.block_id}")
-            if isinstance(content, (StructVal, ListVal)):
+                raise SymexError(f"load of uninitialised slot b{block_id}")
+            if content.__class__ is StructVal or content.__class__ is ListVal:
                 raise SymexError("whole-aggregate load is not supported")
             return content
         (index,) = ptr.path
-        if isinstance(content, StructVal):
+        if content.__class__ is StructVal:
             value = content.fields[index]
-        elif isinstance(content, ListVal):
+        elif content.__class__ is ListVal:
             if index >= len(content.items) or index < 0:
                 raise SymexError(
                     f"physical list access out of range: {index} vs {len(content.items)}"
                 )
             value = content.items[index]
         else:
-            raise SymexError(f"indexed load into scalar block b{ptr.block_id}")
+            raise SymexError(f"indexed load into scalar block b{block_id}")
         if value is UNINIT:
-            raise SymexError(f"load of uninitialised field b{ptr.block_id}[{index}]")
+            raise SymexError(f"load of uninitialised field b{block_id}[{index}]")
         return value
 
     def store(self, ptr: Pointer, value) -> None:
-        if ptr.is_null:
+        block_id = ptr.block_id
+        if block_id is None:
             raise SymexError("store through nil pointer (missing guard?)")
-        content = self.content(ptr.block_id)
+        content = self._blocks.get(block_id, _DANGLING)
+        if content is _DANGLING:
+            raise SymexError(f"dangling block id {block_id}")
         if not ptr.path:
-            if isinstance(content, (StructVal, ListVal)):
+            if content.__class__ is StructVal or content.__class__ is ListVal:
                 raise SymexError("whole-aggregate store is not supported")
-            self._blocks[ptr.block_id] = value
+            self._blocks[block_id] = value
             return
         (index,) = ptr.path
-        if isinstance(content, StructVal):
-            self._blocks[ptr.block_id] = content.with_field(index, value)
-        elif isinstance(content, ListVal):
+        if content.__class__ is StructVal:
+            self._blocks[block_id] = content.with_field(index, value)
+        elif content.__class__ is ListVal:
             if index >= len(content.items) or index < 0:
                 raise SymexError(
                     f"physical list store out of range: {index} vs {len(content.items)}"
                 )
-            self._blocks[ptr.block_id] = content.with_item(index, value)
+            self._blocks[block_id] = content.with_item(index, value)
         else:
-            raise SymexError(f"indexed store into scalar block b{ptr.block_id}")
+            raise SymexError(f"indexed store into scalar block b{block_id}")
 
     def replace(self, block_id: int, content) -> None:
         if block_id not in self._blocks:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
+from repro.solver.pathcond import TRUE_PATH, PathCondition
 from repro.solver.terms import BoolExpr
 from repro.symex.memory import Memory
 
@@ -13,26 +14,28 @@ class PathState:
 
     Register frames live in the executor's call recursion, not here — the
     state carries only what must survive across calls and what forking must
-    duplicate.
+    duplicate. ``pc`` is a persistent :class:`PathCondition` node, so
+    :meth:`fork` and :meth:`assume` are O(1) and forks share their prefix.
     """
 
     __slots__ = ("memory", "pc", "witness")
 
-    def __init__(self, memory: Optional[Memory] = None, pc: Optional[List[BoolExpr]] = None):
+    def __init__(self, memory: Optional[Memory] = None,
+                 pc: PathCondition = TRUE_PATH):
         self.memory = memory if memory is not None else Memory()
-        self.pc: List[BoolExpr] = list(pc) if pc is not None else []
+        self.pc = pc
         #: A model known to satisfy ``pc`` (or None). Pure optimisation: the
         #: executor evaluates branch conditions under it to skip solver
         #: calls for the side the witness already demonstrates feasible.
         self.witness: Optional[dict] = None
 
     def fork(self) -> "PathState":
-        forked = PathState(self.memory.clone(), list(self.pc))
+        forked = PathState(self.memory.clone(), self.pc)
         forked.witness = self.witness
         return forked
 
     def assume(self, condition: BoolExpr) -> None:
-        self.pc.append(condition)
+        self.pc = PathCondition(self.pc, condition)
 
     def __repr__(self):
         return f"PathState({len(self.pc)} conditions, {len(self.memory)} blocks)"

@@ -129,3 +129,35 @@ class TestPruneNameops:
         module = compile_module(nameops)
         prune_module(module)
         validate_module(module)
+
+
+class TestPruneRedecodes:
+    def test_a_function_pruned_after_running_runs_its_elided_guard(self):
+        """Decoding happens on first execution and is kept on the
+        function; pruning rewrites the blocks in place, so the next run
+        must execute the ElidedGuardBr, not the stale CondBr."""
+        from repro.ir import Module
+        from repro.solver import ge, ivar, le
+        from repro.symex import Executor, ListVal, PathState
+
+        fn, _, _ = guarded_index(bound_check=True)
+        module = Module("m")
+        module.add_function(fn)
+
+        def run():
+            executor = Executor([module])
+            state = PathState()
+            xs = state.memory.alloc(
+                ListVal((ivar("x0"), ivar("x1")), ivar("n")))
+            outcomes = executor.run(
+                "f", [xs], state=state, pre=[ge(ivar("n"), 0), le(ivar("n"), 2)])
+            return executor.stats, outcomes
+
+        before, outcomes = run()
+        assert fn.decoded is not None
+        assert before.panic_guard_checks > 0 and before.pruned_guard_hits == 0
+        assert not any(out.is_panic for out in outcomes)
+        prune_function(fn)
+        after, outcomes = run()
+        assert after.panic_guard_checks == 0 and after.pruned_guard_hits == 1
+        assert not any(out.is_panic for out in outcomes)

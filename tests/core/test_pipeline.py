@@ -119,6 +119,28 @@ GOLDEN = {
 }
 
 
+#: Executor work per version on the evaluation zone (default options):
+#: (steps, forks, calls, paths). Any change here is a change in how much
+#: the interpreter does, or in when it charges a step.
+EXECUTOR_WORK = {
+    "verified": (435624, 501, 6394, 246),
+    "v1.0": (459444, 527, 6645, 264),
+    "v2.0": (390050, 449, 5677, 252),
+    "v3.0": (443779, 515, 6393, 255),
+    "dev": (429215, 499, 6169, 244),
+}
+
+#: Partial coverage of the verified engine's UNKNOWN(step-fuel) verdict on
+#: the evaluation zone per fuel: (steps, forks, paths, solver_consults,
+#: layers_done). Fuel runs out at one exact instruction, so these pin the
+#: executor's step accounting instruction by instruction.
+FUEL_PARTIAL = {
+    2000: (2001, 27, 0, 35, 0),
+    20000: (20001, 217, 141, 202, 2),
+    200000: (200001, 330, 188, 5311, 2),
+}
+
+
 @pytest.fixture(scope="module")
 def results():
     zone = evaluation_zone()
@@ -248,6 +270,33 @@ class TestSessionMechanics:
         text = results["dev"].describe()
         assert "Runtime Error" in text
         assert "layer" in text
+
+
+class TestExecutorWorkPin:
+    @pytest.mark.parametrize("version", sorted(EXECUTOR_WORK))
+    def test_steps_forks_calls_paths_pinned(self, version):
+        session = VerificationSession(evaluation_zone(), version)
+        session.verify()
+        stats = session.executor.stats
+        assert (stats.steps, stats.forks, stats.calls, stats.paths) \
+            == EXECUTOR_WORK[version]
+
+    @pytest.mark.parametrize("fuel", sorted(FUEL_PARTIAL))
+    def test_fuel_exhausts_at_the_pinned_instruction(self, fuel):
+        from repro.core.options import VerifyOptions
+
+        result = verify_engine(evaluation_zone(), "verified",
+                               VerifyOptions(fuel=fuel))
+        assert result.verdict == "UNKNOWN"
+        assert result.unknown_reason == "step-fuel"
+        partial = result.partial
+        budget = partial["budget"]
+        assert (partial["steps"], partial["forks"], partial["paths"],
+                budget["solver_consults"], partial["layers_done"]) \
+            == FUEL_PARTIAL[fuel]
+        assert budget["steps_charged"] == partial["steps"]
+        assert partial["detail"] == \
+            f"step fuel exhausted after {partial['steps']} steps"
 
 
 class TestGoldenPin:

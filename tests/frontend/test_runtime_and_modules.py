@@ -44,6 +44,66 @@ class TestGoStructRuntime:
         assert "level=2" in repr(stack)
 
 
+class _Base(GoStruct):
+    count: int
+    items: list[int]
+    next: "_Base"
+
+
+class _Derived(_Base):
+    flag: bool
+    more: list[int]
+
+
+class TestGoStructLayout:
+    """Allocation fills an instance from a per-class layout computed once;
+    these pin that it behaves exactly like a per-allocation walk."""
+
+    def test_each_allocation_gets_fresh_lists(self):
+        first = _Derived()
+        first.items.append(1)
+        first.more.append(2)
+        second = _Derived()
+        assert second.items == [] and second.more == []
+        assert second.items is not first.items
+        assert second.more is not first.more
+        assert _Derived().items == []
+
+    def test_unknown_keyword_raises_type_error_every_time(self):
+        _Base()
+        for _ in range(2):
+            with pytest.raises(TypeError, match="has no field 'flag'"):
+                _Base(flag=True)
+
+    def test_subclass_inherits_fields_with_its_own_layout(self):
+        base = _Base(count=3)
+        derived = _Derived(count=4, flag=True)
+        assert (base.count, base.items, base.next) == (3, [], None)
+        assert (derived.count, derived.items, derived.next,
+                derived.flag, derived.more) == (4, [], None, True, [])
+        assert not hasattr(base, "flag")
+        with pytest.raises(TypeError):
+            _Base(more=[])
+
+    def test_repr_and_struct_fields_keep_declaration_order(self):
+        derived = _Derived(count=1)
+        assert struct_fields(_Derived) == ("count", "items", "next", "flag", "more")
+        assert repr(derived) == (
+            "_Derived(count=1, items=[], next=None, flag=False, more=[])"
+        )
+        assert list(vars(derived)) == list(struct_fields(_Derived))
+
+    def test_layout_stays_out_of_annotations_and_compiled_types(self):
+        TreeNode()
+        Response()
+        for cls in (TreeNode, Response, _Base, _Derived):
+            assert not any(name.startswith("_") for name in struct_fields(cls))
+        module = compile_module(structs)
+        for cls in (TreeNode, Response):
+            fields = module.types.get(cls.__name__).fields
+            assert tuple(name for name, _ in fields) == struct_fields(cls)
+
+
 class TestEngineModuleCompilation:
     @pytest.mark.parametrize("version", ["v1.0", "v2.0", "v3.0", "dev", "verified", "v4.0"])
     def test_all_versions_compile_and_validate(self, version):

@@ -118,3 +118,87 @@ class TestServingSnapshot:
         snapshot = build_snapshot(minimal_zone(), "verified", sequence=3)
         text = snapshot.describe()
         assert "#3" in text and "example.com." in text
+
+
+class _AnswerRewriter:
+    """An engine module wrapper that lets ``rewrite(resp)`` tamper with
+    every answer the real engine builds to an A query."""
+
+    def __init__(self, module, rewrite):
+        self.module = module
+        self.rewrite = rewrite
+
+    def resolve(self, tree, codes, qtype, resp):
+        self.module.resolve(tree, codes, qtype, resp)
+        if qtype == int(RRType.A):
+            self.rewrite(resp)
+
+
+def _unknown_rdata_id(resp):
+    resp.answer[0].rdata_id = 10 ** 6
+
+
+def _type_rdata_mismatch(resp):
+    resp.answer[0].rtype = int(RRType.MX)  # an A record's rdata
+
+
+def _rcode_outside_rcode(resp):
+    resp.rcode = 99
+
+
+def _owner_of_33_labels(resp):
+    resp.answer[0].rname = resp.answer[0].rname[-1:] * 33
+
+
+class TestDecodeFailuresAreClassified:
+    """Every way an engine answer can fail to decode is a ResolveError:
+    the server answers SERVFAIL and counts a decode failure, and the
+    self-checker's replay sees the same error."""
+
+    QUERY = Query(name("www.example.com."), RRType.A)
+
+    def tampered(self, rewrite):
+        import dataclasses
+
+        from repro.serve import ZoneServer
+
+        server = ZoneServer(evaluation_zone(), status_port=None)
+        snapshot = server.gate.snapshot
+        server.gate.snapshot = dataclasses.replace(
+            snapshot, module=_AnswerRewriter(snapshot.module, rewrite))
+        return server
+
+    @pytest.mark.parametrize("rewrite", [
+        _unknown_rdata_id,
+        _type_rdata_mismatch,
+        _rcode_outside_rcode,
+        _owner_of_33_labels,
+    ])
+    def test_undecodable_answer_is_servfail_and_counted(self, rewrite):
+        from repro.dns.wire import build_query, parse_response
+
+        server = self.tampered(rewrite)
+        with pytest.raises(ResolveError, match="did not decode"):
+            server.gate.snapshot.resolve(self.QUERY)
+        reply = server.handle_packet(build_query(7, self.QUERY), "198.51.100.7")
+        txid, response = parse_response(reply)
+        assert txid == 7
+        assert response.rcode is RCode.SERVFAIL
+        assert server.metrics.decode_failures == 1
+        assert server.metrics.engine_crashes == 0
+
+    def test_undecodable_answer_does_not_end_a_udp_batch(self):
+        from repro.dns.wire import build_query, parse_response
+        from repro.testing.faultdrill import ScriptedUdpSocket
+
+        server = self.tampered(_unknown_rdata_id)
+        good = Query(name("example.com."), RRType.SOA)
+        sock = ScriptedUdpSocket([
+            (build_query(1, self.QUERY), "198.51.100.7"),
+            (build_query(2, good), "198.51.100.7"),
+        ])
+        server.read_datagrams(sock)
+        replies = [parse_response(data) for data, _ in sock.sent]
+        assert [(txid, r.rcode) for txid, r in replies] == [
+            (1, RCode.SERVFAIL), (2, RCode.NOERROR)]
+        assert server.metrics.decode_failures == 1

@@ -130,15 +130,6 @@ class TestBooleanStructure:
 
 
 class TestIncremental:
-    def test_push_pop(self):
-        solver = Solver()
-        solver.add(ge(x, 0))
-        solver.push()
-        solver.add(le(x, -1))
-        assert solver.check() is SolveResult.UNSAT
-        solver.pop()
-        assert solver.check() is SolveResult.SAT
-
     def test_check_with_extra(self):
         solver = Solver()
         solver.add(ge(x, 0), le(x, 10))

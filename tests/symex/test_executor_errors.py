@@ -121,3 +121,67 @@ class TestIntrinsicGuards:
         lst = state.memory.alloc(ListVal((ivar("a"),), ivar("n")))
         (out,) = executor.run("f", [lst], state=state)
         assert out.value == ivar("n")
+
+
+class TestDecodedFunctions:
+    """Functions are decoded once into handlers; errors still surface
+    with the interpreter's messages, and only where execution reaches
+    them."""
+
+    @staticmethod
+    def run(fn, args=(), **kwargs):
+        from repro.ir import Module
+
+        module = Module("hand")
+        module.add_function(fn)
+        executor = Executor([module], **kwargs)
+        return executor, executor.run(fn.name, list(args))
+
+    def test_read_of_unset_register_keeps_its_message(self):
+        from repro.ir import BinOp, ConstInt, Function, Register, Ret
+        from repro.ir.types import INT
+
+        fn = Function("f", [("x", INT)], INT)
+        entry = fn.new_block("entry")
+        entry.append(BinOp(Register("y"), "add", Register("nope"), ConstInt(1)))
+        entry.terminate(Ret(Register("y")))
+        with pytest.raises(SymexError, match=r"read of unset register %nope"):
+            self.run(fn, [iconst(1)])
+
+    def test_malformed_blocks_fail_only_when_reached(self):
+        from repro.ir import Br, CondBr, ConstBool, Function, Register, Ret
+        from repro.ir.types import INT
+
+        fn = Function("f", [("x", INT)], INT)
+        entry = fn.new_block("entry")
+        dead = fn.new_block("dead")
+        unterminated = fn.new_block("open")
+        live = fn.new_block("live")
+        entry.terminate(CondBr(ConstBool(True), live.label, dead.label))
+        dead.terminate(Br("nowhere"))  # a label the function lacks
+        live.terminate(Ret(Register("x")))
+        _, (out,) = self.run(fn, [iconst(7)])
+        assert out.value == iconst(7)
+        entry.terminator = Br(unterminated.label)
+        fn.decoded = None  # what an in-place rewrite of the blocks must do
+        with pytest.raises(SymexError,
+                           match=f"f: unterminated block {unterminated.label}"):
+            self.run(fn, [iconst(7)])
+
+    def test_step_budget_exhausts_at_the_same_instruction(self):
+        from repro.ir import BinOp, ConstInt, Function, Register, Ret
+        from repro.ir.types import INT
+
+        fn = Function("f", [("x", INT)], INT)
+        entry = fn.new_block("entry")
+        value = Register("x")
+        for k in range(5):
+            dest = Register(f"v{k}")
+            entry.append(BinOp(dest, "add", value, ConstInt(1)))
+            value = dest
+        entry.terminate(Ret(value))
+        executor, (out,) = self.run(fn, [iconst(0)], max_steps=5)
+        assert out.value == iconst(5)
+        assert executor.stats.steps == 5
+        with pytest.raises(OutOfBudgetError, match="step budget exhausted in f"):
+            self.run(fn, [iconst(0)], max_steps=4)
