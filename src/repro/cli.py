@@ -98,18 +98,8 @@ def cmd_verify(args) -> int:
     zone = _load_zone(args)
     options = VerifyOptions.from_args(args)
     cache = options.make_cache()
-    # Sequential runs install the fault plan globally; pooled runs
-    # (--workers) instead derive one deterministic plan per unit inside
-    # each worker, so the parent installs nothing.
-    plan = None if options.workers is not None else options.make_fault_plan()
     try:
-        if plan is not None:
-            faults.install(plan)
-        try:
-            result = verify_engine(zone, args.version, options=options, cache=cache)
-        finally:
-            if plan is not None:
-                faults.clear()
+        result = verify_engine(zone, args.version, options=options, cache=cache)
     except (faults.InjectedFault, OSError) as exc:
         error_class, detail = verdicts.classify_error(exc)
         print(f"ERROR ({error_class}): {detail}", file=sys.stderr)

@@ -19,13 +19,12 @@ proof available per zone.
 from __future__ import annotations
 
 import json
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.options import VerifyOptions
-from repro.core.pipeline import VerificationResult, VerificationSession
+from repro.core.pipeline import VerificationResult
 from repro.dns.zone import Zone
 from repro.frontend.errors import GoPyError
 from repro.resilience import verdicts as verdicts_mod
@@ -207,7 +206,7 @@ def run_unit(
     workers call it (:func:`repro.parallel.worker.campaign_unit_worker`),
     in-process or not, which is what makes verdicts bit-identical across
     worker counts. Without ``base_zone`` the unit is one from-scratch
-    :class:`VerificationSession` (through
+    :func:`~repro.incremental.engine.verify_unit` (through
     :func:`~repro.incremental.engine.verify_cached` when a ``cache`` is
     given); with it (a campaign *mutation* unit) the
     base is verified through the incremental engine, warming its
@@ -220,7 +219,11 @@ def run_unit(
     perf statistics, and, for mutation units, the partition-reuse counts
     (telemetry only: they depend on cache warmth).
     """
-    from repro.incremental.engine import IncrementalVerifier, verify_cached
+    from repro.incremental.engine import (
+        IncrementalVerifier,
+        verify_cached,
+        verify_unit,
+    )
 
     started = time.perf_counter()
     divergences = 0
@@ -232,15 +235,14 @@ def run_unit(
         if base_zone is None and cache is not None:
             result = verify_cached(zone, version, options, cache)
         elif base_zone is None:
-            result = VerificationSession(
-                zone, version, budget=options.make_budget(),
-                **options.session_kwargs(),
-            ).verify(use_summaries=options.use_summaries)
+            result = verify_unit(zone, version, options)
         else:
             # The campaign unit is already the parallel unit: its nested
-            # verifier runs in-process under the unit's own fault plan.
-            verifier = IncrementalVerifier(base_zone, version, cache=cache,
-                                           options=options.with_(workers=None))
+            # verifier runs in-process, and ``faults=None`` leaves the
+            # unit's own installed fault plan in charge.
+            verifier = IncrementalVerifier(
+                base_zone, version, cache=cache,
+                options=options.with_(workers=None, faults=None))
             verifier.verify_current()
             outcome = verifier.diff_to(zone)
             result = outcome.result
@@ -352,11 +354,10 @@ def run_unit_loop(
     payloads = [
         {
             "index": unit.index,
-            "zone_pickle": pickle.dumps(unit.zone),
-            "base_zone_pickle": (None if unit.base_zone is None
-                                 else pickle.dumps(unit.base_zone)),
+            "zone": unit.zone,
+            "base_zone": unit.base_zone,
             "version": unit.version,
-            "options": options.to_json(),
+            "options": options,
         }
         for unit in (units[pos] for pos in pending)
     ]

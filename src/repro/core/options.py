@@ -12,10 +12,10 @@ data* knob a verification run needs. Live objects (an open
 arguments — they cannot cross a process boundary, which the parallel
 executor requires of everything in here.
 
-Because the dataclass is frozen and JSON-round-trippable it can be handed
-verbatim to a worker process; :meth:`VerifyOptions.to_json` /
-:meth:`VerifyOptions.from_json` are the wire format the
-:mod:`repro.parallel` executor ships.
+Because the dataclass is frozen it is handed verbatim to a unit's
+worker function (the :mod:`repro.parallel` pool pickles it with the
+rest of the payload); :meth:`VerifyOptions.to_json` /
+:meth:`VerifyOptions.from_json` are its JSON form.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from typing import Dict, Optional
 class VerifyOptions:
     """Every plain-data knob of one verification run.
 
-    For a verify, ``workers=None`` means "sequential, monolithic" — the
-    historical code path. Any integer (including 1) opts into the
-    partitioned/pooled executor, whose reports are bit-identical across
-    worker counts; the distinction exists because the partitioned merge
-    labels layers differently from a monolithic session, so ``workers=1``
-    must take the same path as ``workers=8`` for determinism to hold. A
-    campaign has one loop: ``None`` and 1 both run its units in-process.
+    For ``verify_engine`` with the by-label planner, ``workers=None``
+    means one monolithic session. Any integer (including 1) opts into
+    the unit-based executor, whose reports are bit-identical across
+    worker counts; the partitioned merge labels layers differently from
+    a monolithic session, so ``workers=1`` must take the same path as
+    ``workers=8``. An :class:`~repro.incremental.engine.IncrementalVerifier`
+    and a campaign each have one unit loop: ``None`` and 1 both run its
+    units in-process.
     """
 
     #: Symbolic query depth; None derives it from the zone.
@@ -45,9 +46,9 @@ class VerifyOptions:
     max_steps: int = 20_000_000
     #: ``False`` is the ablation that inlines every layer.
     use_summaries: bool = True
-    #: Cooperative budget: wall-clock deadline and/or step fuel. In
-    #: parallel mode each worker unit gets a *fresh* budget built from
-    #: these, so the bound is per unit rather than per run.
+    #: Cooperative budget: wall-clock deadline and/or step fuel. Each
+    #: unit gets a *fresh* budget built from these, so the bound is per
+    #: unit rather than per run.
     budget_seconds: Optional[float] = None
     fuel: Optional[int] = None
     #: Persistent cache directory (each worker opens its own handle on it;
@@ -56,9 +57,9 @@ class VerifyOptions:
     #: None = in-process; N >= 1 = pooled executor with N processes.
     workers: Optional[int] = None
     #: Fault-plan spec string (see :func:`repro.resilience.faults.parse_spec`).
-    #: Pooled verifies and every campaign re-derive the spec *per unit id*
-    #: so injection stays deterministic regardless of worker count or
-    #: scheduling.
+    #: Unit-based verifies and campaigns derive a plan *per unit id*, for
+    #: every worker count, so injection stays deterministic regardless of
+    #: scheduling; a monolithic verify installs one whole-run plan.
     faults: Optional[str] = None
     #: Campaigns: run the differential smoke test before each proof.
     smoke_first: bool = True
@@ -79,16 +80,6 @@ class VerifyOptions:
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""
         return dataclasses.replace(self, **changes)
 
-    def session_kwargs(self) -> Dict[str, object]:
-        """The subset handed to :class:`VerificationSession`."""
-        return {
-            "depth": self.depth,
-            "max_paths": self.max_paths,
-            "max_steps": self.max_steps,
-            "analysis": self.analysis,
-            "analysis_check": self.analysis_check,
-        }
-
     def make_budget(self):
         """A fresh one-unit Budget, or None when unbounded."""
         if self.budget_seconds is None and self.fuel is None:
@@ -106,7 +97,7 @@ class VerifyOptions:
         return SummaryCache(cache_dir=self.cache_dir)
 
     def make_fault_plan(self):
-        """The whole-run fault plan (sequential mode), or None."""
+        """The whole-run fault plan (a monolithic verify), or None."""
         if self.faults is None:
             return None
         from repro.resilience import faults

@@ -650,27 +650,32 @@ def verify_engine(
     (:class:`repro.core.options.VerifyOptions`); live objects — an open
     ``cache``, a running ``budget``, a custom ``solver`` — stay explicit
     keyword arguments. When ``options.workers`` is set, or a non-default
-    planner is chosen, the run goes through the partitioned
+    planner is chosen, the run goes through the unit-based
     :class:`~repro.incremental.engine.IncrementalVerifier` (pooled via
-    :mod:`repro.parallel` when ``workers`` is set), whose merged result
-    is deterministic across worker counts. Otherwise, with a ``cache``
-    (or ``options.cache_dir``), the monolithic run goes through
-    :func:`~repro.incremental.engine.verify_cached`: a stored verdict
-    replays without compiling anything.
+    :mod:`repro.parallel` for more than one worker, each unit under its
+    own plan from ``options.faults``), whose merged result is
+    deterministic across worker counts. Otherwise the run is one
+    monolithic :func:`~repro.incremental.engine.verify_unit` under the
+    whole-run fault plan ``options.faults`` describes (installed here,
+    when given); with a ``cache`` (or ``options.cache_dir``) it goes
+    through :func:`~repro.incremental.engine.verify_cached`, where a
+    stored verdict replays without compiling anything.
     """
+    from contextlib import nullcontext
+
     from repro.core.options import VerifyOptions
+    from repro.incremental.engine import (
+        IncrementalVerifier,
+        verify_cached,
+        verify_unit,
+    )
+    from repro.resilience import faults
 
     if options is None:
         options = VerifyOptions()
     if cache is None:
         cache = options.make_cache()
     if options.workers is not None or options.planner not in (None, "by-label"):
-        # Unit-based run: the incremental engine plans, verifies and
-        # merges per unit — misses through the pool when ``workers`` is
-        # set (any count, 1 included, takes the same pooled path), live
-        # in-process otherwise.
-        from repro.incremental.engine import IncrementalVerifier
-
         verifier = IncrementalVerifier(zone, version, cache=cache,
                                        options=options)
         outcome = verifier.verify_current()
@@ -678,18 +683,10 @@ def verify_engine(
         if result.cache_stats is None:
             result.cache_stats = outcome.reuse.cache
         return result
-    if cache is not None:
-        from repro.incremental.engine import verify_cached
-
-        return verify_cached(zone, version, options, cache,
-                             budget=budget, solver=solver)
-    if budget is None:
-        budget = options.make_budget()
-    session = VerificationSession(
-        zone,
-        version,
-        solver=solver,
-        budget=budget,
-        **options.session_kwargs(),
-    )
-    return session.verify(use_summaries=options.use_summaries)
+    plan = options.make_fault_plan()
+    with faults.active(plan) if plan is not None else nullcontext():
+        if cache is not None:
+            return verify_cached(zone, version, options, cache,
+                                 budget=budget, solver=solver)
+        return verify_unit(zone, version, options, budget=budget,
+                           solver=solver)

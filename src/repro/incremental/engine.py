@@ -111,6 +111,34 @@ def verdict_of(result: VerificationResult) -> Dict:
     }
 
 
+def verify_unit(zone: Zone, version: str, options: VerifyOptions,
+                part_key: str = "full", gap_code: Optional[int] = None, *,
+                budget=None, solver=None) -> VerificationResult:
+    """Verify one query-plan unit: the one place a
+    :class:`VerificationSession` is built from a :class:`VerifyOptions`.
+
+    ``part_key="full"`` is the unsplit query space (a monolithic verify);
+    any other key confines the symbolic query with
+    :func:`~repro.incremental.planner.protocol.unit_preconditions`.
+    ``budget`` defaults to a fresh ``options.make_budget()``, so a bound
+    is per unit."""
+    session = VerificationSession(
+        zone,
+        version,
+        depth=options.depth,
+        solver=solver,
+        max_paths=options.max_paths,
+        max_steps=options.max_steps,
+        budget=budget if budget is not None else options.make_budget(),
+        analysis=options.analysis,
+        analysis_check=options.analysis_check,
+    )
+    pre = unit_preconditions(part_key, gap_code, session.query_encoding)
+    if pre:
+        session.restrict(pre)
+    return session.verify(use_summaries=options.use_summaries)
+
+
 def store_verdict(cache: SummaryCache, key: Dict, verdict: Dict) -> None:
     """Cache a freshly computed verdict. UNKNOWN/ERROR verdicts reflect a
     budget or environment, not zone content — they are never stored."""
@@ -242,9 +270,9 @@ def verify_cached(zone: Zone, version: str, options, cache: SummaryCache, *,
     built, so a hit compiles and analyses nothing: it replays the stored
     verdict and bugs (in their original order), routes every layer
     ``cache`` and reports 0 solver checks. A miss runs one
-    :class:`VerificationSession` and stores the :func:`verdict_of`
-    record of its result, unless that is UNKNOWN or ERROR. ``budget``
-    defaults to ``options.make_budget()``.
+    :func:`verify_unit` over the ``full`` unit and stores the
+    :func:`verdict_of` record of its result, unless that is UNKNOWN or
+    ERROR.
     """
     started = time.perf_counter()
     key = partition_key(
@@ -254,12 +282,8 @@ def verify_cached(zone: Zone, version: str, options, cache: SummaryCache, *,
     verdict = cache.get("partition", key)
     bugs = replay_bugs(verdict) if verdict is not None else None
     if bugs is None:
-        if budget is None:
-            budget = options.make_budget()
-        result = VerificationSession(
-            zone, version, solver=solver, budget=budget,
-            **options.session_kwargs(),
-        ).verify(use_summaries=options.use_summaries)
+        result = verify_unit(zone, version, options, budget=budget,
+                             solver=solver)
         store_verdict(cache, key, verdict_of(result))
     else:
         result = VerificationResult(
@@ -336,10 +360,13 @@ class IncrementalVerifier:
     :class:`~repro.incremental.cache.SummaryCache` with a directory for
     persistence across processes (the watch daemon does). Every knob
     travels in ``options`` (a :class:`~repro.core.options.VerifyOptions`,
-    default ``VerifyOptions()``): ``options.workers=None`` recomputes
-    misses sequentially in-process, any integer — 1 included — routes
-    them through the :mod:`repro.parallel` pool, so worker counts are
-    interchangeable. Each unit gets a fresh ``options.make_budget()``.
+    default ``VerifyOptions()``). Every cache miss runs through
+    :func:`~repro.parallel.worker.partition_worker`: in-process when
+    ``options.workers`` is None or 1, across that many pool processes
+    otherwise, so worker counts are interchangeable. Each unit gets a
+    fresh ``options.make_budget()`` and, when ``options.faults`` is set,
+    its own fault plan derived from the spec and its plan position; pass
+    ``faults=None`` to leave an already installed plan in charge.
     """
 
     def __init__(
@@ -393,10 +420,10 @@ class IncrementalVerifier:
         recomputed: List[str] = []
 
         # Plan first: units in stable order, each with its cache verdict
-        # (when replayable). Misses are then recomputed — live and in
-        # order on the sequential path, pooled when ``workers`` is set —
-        # and everything merges back in plan order, so the merged result
-        # is independent of where or in what order misses were computed.
+        # (when replayable). Misses are then recomputed — in order
+        # in-process, or across the pool — and everything merges back in
+        # plan order, so the merged result is independent of where or in
+        # what order misses were computed.
         plan = [(unit, self._verdict_key(unit)) for unit in self._plan_units()]
         cached: Dict[int, Tuple[Dict, List[BugReport]]] = {}
         for position, (unit, key) in enumerate(plan):
@@ -406,10 +433,7 @@ class IncrementalVerifier:
                 if replayed is not None:
                     cached[position] = (verdict, replayed)
         misses = [p for p in range(len(plan)) if p not in cached]
-        if self.options.workers is None:
-            fresh = {p: self._recompute_live(*plan[p]) for p in misses}
-        else:
-            fresh = self._recompute_pooled(plan, misses)
+        fresh = self._recompute(plan, misses)
 
         phase_totals: Dict[str, float] = {}
         for position, (unit, key) in enumerate(plan):
@@ -448,83 +472,69 @@ class IncrementalVerifier:
 
     # -- miss recomputation ----------------------------------------------------
 
-    def _recompute_live(
-        self, unit: PlanUnit, key: Dict
-    ) -> Tuple[Dict, List[BugReport], int, Dict[str, float]]:
-        """One cache miss, computed in-process (the sequential path; also
-        the fallback when a pool worker dies)."""
-        result = self._verify_unit(unit)
-        verdict = verdict_of(result)
-        store_verdict(self.cache, key, verdict)
-        return verdict, result.bugs, result.solver_checks, result.phase_seconds
-
-    def _recompute_pooled(
+    def _recompute(
         self, plan: List[Tuple[PlanUnit, Dict]], misses: List[int]
     ) -> Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]]:
-        """Cache misses through the process pool (``options.workers`` set).
+        """Compute the cache misses, each through
+        :func:`~repro.parallel.worker.partition_worker`, across
+        ``options.workers`` processes (None or 1: in-process, where no
+        payload is pickled).
 
         Cache reads and writes stay in the parent (workers open no
-        cache). A worker death falls back to a live in-parent recompute
-        — same inputs, same deterministic outcome; a stall degrades the
-        unit to ``UNKNOWN(wall-clock-deadline)``.
+        cache). A worker death reruns the same payload through the same
+        function here, so the unit keeps its fault plan; a stall degrades
+        the unit to ``UNKNOWN(wall-clock-deadline)``.
 
-        Partition units ship the full zone (pickled once, shared);
-        equivalence-class units ship their small projected zones — at
-        million-record scale the full zone never crosses the pool
-        boundary at all.
+        Partition units carry the full zone; equivalence-class units
+        carry their small projected zones — at million-record scale the
+        full zone never crosses the pool boundary at all.
         """
-        import pickle
-
         from repro.parallel.counters import perf_phases
         from repro.parallel.pool import DIED, TIMEOUT, grace_seconds, run_units
         from repro.parallel.worker import partition_worker
 
         options = self.options
-        zone_blob = None
         payloads = []
         for p in misses:
             unit = plan[p][0]
             if unit.kind == KIND_PARTITION:
-                if zone_blob is None:
-                    zone_blob = pickle.dumps(self.zone)
-                blob = zone_blob
-                unit_options = options
+                zone, unit_options = self.zone, options
             else:
-                blob = pickle.dumps(self.planner.projected_zone(unit))
-                # Pin the projected session to the full zone's encoding
-                # depth so gap decoding and witness codes line up with the
-                # cache key.
+                # Equivalence-class units verify against their projected
+                # zone — the representative's dependency closure — with
+                # the depth pinned to the full zone's so gap decoding and
+                # witness codes line up with the cache key.
+                zone = self.planner.projected_zone(unit)
                 unit_options = options.with_(depth=self._encoding_depth())
             payloads.append(
                 {
                     "index": p,  # stable plan position → deterministic fault plan
-                    "zone_pickle": blob,
+                    "zone": zone,
                     "part_key": unit.part_key,
                     "gap_code": unit.gap_code,
                     "version": self.version,
-                    "options": unit_options.to_json(),
+                    "options": unit_options,
                 }
             )
         fresh: Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]] = {}
         for pos, status, value in run_units(
-            partition_worker, payloads, options.workers,
+            partition_worker, payloads, options.workers or 1,
             grace_seconds(options.budget_seconds),
         ):
             position = misses[pos]
-            unit, key = plan[position]
             if status == TIMEOUT:
                 fresh[position] = (deadline_verdict(), [], 0, {})
-            elif status == DIED:
-                fresh[position] = self._recompute_live(unit, key)
-            else:
-                verdict = value["verdict"]
-                store_verdict(self.cache, key, verdict)
-                fresh[position] = (
-                    verdict,
-                    [bug_from_json(b) for b in verdict["bugs"]],
-                    verdict["solver_checks"],
-                    perf_phases(value.get("perf")),
-                )
+                continue
+            if status == DIED:
+                value = partition_worker(payloads[pos])
+            verdict = value["verdict"]
+            store_verdict(self.cache, plan[position][1], verdict)
+            fresh[position] = (
+                verdict,
+                [bug_from_json(b) for b in verdict["bugs"]],
+                verdict["solver_checks"],
+                perf_phases(value.get("perf")),
+            )
         return fresh
 
     # -- internals -------------------------------------------------------------
@@ -574,30 +584,6 @@ class IncrementalVerifier:
             "use_summaries": self.options.use_summaries,
         }
 
-    def _session(self, zone: Zone, depth: Optional[int]) -> VerificationSession:
-        """A unit's session: ``options`` with ``depth`` and a fresh budget
-        per unit, as in a pool worker."""
-        return VerificationSession(
-            zone, self.version, budget=self.options.make_budget(),
-            **self.options.with_(depth=depth).session_kwargs(),
-        )
-
-    def _verify_unit(self, unit: PlanUnit) -> VerificationResult:
-        if unit.kind == KIND_PARTITION:
-            session = self._session(self.zone, self.options.depth)
-        else:
-            # Equivalence-class units verify against their projected zone
-            # — the representative's dependency closure — with the depth
-            # pinned to the full zone's so query encodings stay aligned.
-            session = self._session(self.planner.projected_zone(unit),
-                                    self._encoding_depth())
-        pre = unit_preconditions(
-            unit.part_key, unit.gap_code, session.query_encoding
-        )
-        if pre:
-            session.restrict(pre)
-        return session.verify(use_summaries=self.options.use_summaries)
-
     # -- class-member expansion ------------------------------------------------
 
     def _expand_unit(
@@ -644,11 +630,8 @@ class IncrementalVerifier:
     def _member_fallback(self, member: str) -> VerificationResult:
         """Full symbolic verify of one class member (hypothesis-violation
         escape hatch), restricted to the member's own subtree."""
-        session = self._session(self.planner.member_zone(member),
-                                self._encoding_depth())
-        session.restrict(
-            unit_preconditions(
-                delta_mod.SUB_PREFIX + member, None, session.query_encoding
-            )
+        return verify_unit(
+            self.planner.member_zone(member), self.version,
+            self.options.with_(depth=self._encoding_depth()),
+            delta_mod.SUB_PREFIX + member,
         )
-        return session.verify(use_summaries=self.options.use_summaries)

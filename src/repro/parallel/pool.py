@@ -6,12 +6,13 @@ Callers are responsible for deterministic assembly (they know each
 payload's stable index); this module is responsible for the three ways a
 pool can go wrong:
 
-- a **worker exception** that is a real bug propagates to the parent
-  (exactly what an in-process run does);
+- a **worker exception** propagates to the parent (exactly what an
+  in-process run does), so it must survive pickling — an unpicklable one
+  breaks the pool and shows up as a death;
 - a **worker process death** (OOM kill, segfault) breaks the pool;
   every unit still in flight is yielded with status ``"died"`` so the
-  caller can recompute it in-process — one lost worker never loses the
-  run;
+  caller can rerun the same worker on the same payload in-process — one
+  lost worker never loses the run;
 - a **stall** (no unit completes within ``grace_seconds``) terminates
   the pool's processes and yields the outstanding units with status
   ``"timeout"`` so the caller can degrade them to
@@ -21,9 +22,13 @@ pool can go wrong:
   budget.
 
 ``workers <= 1`` (or a single payload) runs everything in-process with
-identical semantics and no pool overhead — worker functions are
+identical semantics and no pool overhead: payloads are handed to the
+worker as they are, nothing is pickled. Worker functions are
 deterministic pure-ish functions of their payload, so in-process and
-pooled execution produce the same values.
+pooled execution produce the same values; both unit loops
+(:func:`repro.core.campaign.run_unit_loop` and
+:class:`~repro.incremental.engine.IncrementalVerifier`) call this for
+every worker count, ``None`` included.
 
 A worker never outlives the process that started it: each one watches
 its parent pid from a daemon thread (:func:`_exit_with_parent`) and
@@ -116,9 +121,12 @@ def run_units(
     """Yield ``(payload_index, status, value)`` in completion order.
 
     ``status`` is ``"ok"`` (value is the worker's return), ``"died"``
-    (worker process vanished; value None) or ``"timeout"`` (stall past
+    (worker process vanished; value None — the caller reruns
+    ``worker(payload)`` itself) or ``"timeout"`` (stall past
     ``grace_seconds``; value None). Ordinary exceptions raised *by* the
-    worker function propagate.
+    worker function propagate. With ``workers <= 1`` or one payload the
+    worker runs in this process, in payload order, on the payload
+    objects themselves; otherwise the pool pickles each payload.
     """
     if workers <= 1 or len(payloads) <= 1:
         for index, payload in enumerate(payloads):

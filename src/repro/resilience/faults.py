@@ -115,6 +115,11 @@ class InjectedFault(RuntimeError):
         self.site = site
         self.taxonomy = taxonomy
 
+    def __reduce__(self):
+        # ``args`` holds only the message, so the default reduction cannot
+        # rebuild the fault in another process (a pool worker's parent).
+        return type(self), (self.site, self.taxonomy)
+
 
 class FaultPlan:
     """A deterministic schedule of faults.

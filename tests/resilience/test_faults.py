@@ -1,5 +1,7 @@
 """Fault plans: determinism, site semantics, and the all-sites drill."""
 
+import pickle
+
 import pytest
 
 from repro.resilience import FaultPlan, InjectedFault, faults, verdicts
@@ -64,6 +66,15 @@ class TestRaisingSemantics:
                 faults.maybe_raise(faults.SITE_COMPILE)
         assert excinfo.value.taxonomy == verdicts.ERR_COMPILE
         assert verdicts.classify_error(excinfo.value)[0] == verdicts.ERR_COMPILE
+
+    def test_injected_fault_survives_pickling(self):
+        # A pool worker's exception reaches the parent pickled; an
+        # unpicklable one breaks the pool instead of propagating.
+        fault = InjectedFault(faults.SITE_COMPILE, verdicts.ERR_COMPILE)
+        copy = pickle.loads(pickle.dumps(fault))
+        assert type(copy) is InjectedFault
+        assert (copy.site, copy.taxonomy, str(copy)) == (
+            fault.site, fault.taxonomy, str(fault))
 
     def test_no_plan_is_a_noop(self):
         faults.clear()
