@@ -109,83 +109,129 @@ ZERO = ""  # the distinguished zero variable anchoring constant bounds
 
 
 class DiffBounds:
-    """A small always-closed difference-bound matrix.
+    """A small difference-bound matrix, stored by rows.
 
     ``bound(u, v)`` is the tightest known ``c`` with ``u - v <= c`` (None
-    when unconstrained); :meth:`add` inserts a constraint and incrementally
-    re-closes in O(vars^2). Infeasibility (a negative self-cycle) is
-    reported by ``add`` returning False — callers treat the carrying edge
-    as unreachable.
+    when unconstrained). The facts live in rows ``{u: {v: c}}``; a row
+    with no facts is never kept, so two matrices are equal exactly when
+    they hold the same facts.
+
+    What stays closed:
+
+    - :meth:`add` inserts ``u - v <= c`` and closes through the new edge
+      only: every ``x`` with a bound on ``x - u`` (and ``u`` itself) gets
+      ``x - y <= (x - u) + c + (v - y)`` for every ``y`` in ``v``'s row
+      (and ``v`` itself). On a closed matrix that is the full shortest-
+      path closure, at O(in(u) * out(v)) plus one scan of the row keys
+      for ``u``'s predecessors. False means a negative cycle showed up —
+      callers treat the carrying edge as unreachable, and the matrix is
+      then left part-way through the closure.
+    - :meth:`join` keeps the facts present on both sides at the looser
+      bound; the pointwise max of closed matrices is closed.
+    - :meth:`kill` forgets a variable; a closed matrix stays closed.
+    - Widening (:meth:`unchanged_since`) *drops* facts and does not
+      re-close, so after it the matrix may be unclosed until the next
+      ``add`` through the affected edges.
     """
 
-    __slots__ = ("_b",)
+    __slots__ = ("_rows",)
 
     def __init__(self, bounds: Optional[Dict[Tuple[str, str], int]] = None):
-        self._b: Dict[Tuple[str, str], int] = dict(bounds) if bounds else {}
+        rows: Dict[str, Dict[str, int]] = {}
+        if bounds:
+            for (u, v), c in bounds.items():
+                rows.setdefault(u, {})[v] = c
+        self._rows = rows
+
+    @classmethod
+    def _of_rows(cls, rows: Dict[str, Dict[str, int]]) -> "DiffBounds":
+        """Wrap ``rows`` (no empty row, owned by the result) as a matrix."""
+        out = cls.__new__(cls)
+        out._rows = rows
+        return out
 
     def copy(self) -> "DiffBounds":
-        return DiffBounds(self._b)
+        return DiffBounds._of_rows(
+            {u: row.copy() for u, row in self._rows.items()}
+        )
 
     def items(self):
-        return self._b.items()
+        """Every fact as ``((u, v), c)``."""
+        return [((u, v), c) for u, row in self._rows.items()
+                for v, c in row.items()]
 
     def __eq__(self, other):
-        return isinstance(other, DiffBounds) and self._b == other._b
+        return isinstance(other, DiffBounds) and self._rows == other._rows
 
     def __repr__(self):
         inner = ", ".join(
-            f"{u or '0'}-{v or '0'}<={c}" for (u, v), c in sorted(self._b.items())
+            f"{u or '0'}-{v or '0'}<={c}" for (u, v), c in sorted(self.items())
         )
         return f"DiffBounds({inner})"
 
     def vars(self) -> set:
-        names = set()
-        for u, v in self._b:
-            names.add(u)
-            names.add(v)
+        names = set(self._rows)
+        for row in self._rows.values():
+            names.update(row)
         names.discard(ZERO)
         return names
 
     def bound(self, u: str, v: str) -> Optional[int]:
         if u == v:
             return 0
-        return self._b.get((u, v))
+        row = self._rows.get(u)
+        return None if row is None else row.get(v)
 
     def entails(self, u: str, v: str, c: int) -> bool:
         """Is ``u - v <= c`` implied?"""
         if u == v:
             return c >= 0
-        known = self._b.get((u, v))
+        row = self._rows.get(u)
+        known = None if row is None else row.get(v)
         return known is not None and known <= c
 
     def add(self, u: str, v: str, c: int) -> bool:
         """Record ``u - v <= c``; False means the system became infeasible."""
         if u == v:
             return c >= 0
-        back = self._b.get((v, u))
-        if back is not None and back + c < 0:
-            return False
-        old = self._b.get((u, v))
-        if old is not None and old <= c:
-            return True
-        self._b[(u, v)] = c
-        # Incremental closure through the new edge: x -> u -> v -> y.
-        names = self.vars() | {ZERO}
-        for x in names:
-            xu = self.bound(x, u)
-            if xu is None:
-                continue
-            for y in names:
-                vy = self.bound(v, y)
-                if vy is None or x == y:
+        rows = self._rows
+        row_v = rows.get(v)
+        if row_v is not None:
+            back = row_v.get(u)
+            if back is not None and back + c < 0:
+                return False
+        row_u = rows.get(u)
+        if row_u is None:
+            row_u = rows[u] = {}
+        else:
+            old = row_u.get(v)
+            if old is not None and old <= c:
+                return True
+        row_u[v] = c
+        # Closure through the new edge: x -> u -> v -> y. Neither the
+        # x -> u bounds nor v's row can tighten while this runs unless a
+        # negative cycle exists, which the check above already refused.
+        sources = [(u, row_u, c)]
+        for x, row_x in rows.items():
+            xu = row_x.get(u)
+            if xu is not None:
+                sources.append((x, row_x, xu + c))
+        targets = [(v, 0)]
+        if row_v is not None:
+            targets.extend(row_v.items())
+        for x, row_x, xuv in sources:
+            for y, vy in targets:
+                if x == y:
                     continue
-                through = xu + c + vy
-                cur = self._b.get((x, y))
+                through = xuv + vy
+                cur = row_x.get(y)
                 if cur is None or through < cur:
-                    self._b[(x, y)] = through
-                    rev = self._b.get((y, x))
-                    if rev is not None and rev + through < 0:
-                        return False
+                    row_x[y] = through
+                    row_y = rows.get(y)
+                    if row_y is not None:
+                        rev = row_y.get(x)
+                        if rev is not None and rev + through < 0:
+                            return False
         return True
 
     def kill(self, var: str) -> None:
@@ -193,19 +239,50 @@ class DiffBounds:
         being redefined)."""
         if var == ZERO:
             return
-        dead = [k for k in self._b if var in k]
-        for k in dead:
-            del self._b[k]
+        rows = self._rows
+        rows.pop(var, None)
+        emptied = []
+        for u, row in rows.items():
+            if row.pop(var, None) is not None and not row:
+                emptied.append(u)
+        for u in emptied:
+            del rows[u]
 
     def join(self, other: "DiffBounds") -> "DiffBounds":
         """Least upper bound: constraints present in both, at the looser
         bound. The pointwise max of closed DBMs is closed."""
-        out: Dict[Tuple[str, str], int] = {}
-        for key, c in self._b.items():
-            oc = other._b.get(key)
-            if oc is not None:
-                out[key] = max(c, oc)
-        return DiffBounds(out)
+        out: Dict[str, Dict[str, int]] = {}
+        other_rows = other._rows
+        for u, row in self._rows.items():
+            other_row = other_rows.get(u)
+            if other_row is None:
+                continue
+            if row == other_row:
+                out[u] = row.copy()
+                continue
+            merged = {}
+            for v, c in row.items():
+                oc = other_row.get(v)
+                if oc is not None:
+                    merged[v] = c if c >= oc else oc
+            if merged:
+                out[u] = merged
+        return DiffBounds._of_rows(out)
+
+    def unchanged_since(self, old: "DiffBounds") -> "DiffBounds":
+        """The widening step: only the facts whose bound ``old`` already
+        had. Every loosened or new fact is dropped, and the result is not
+        re-closed."""
+        out: Dict[str, Dict[str, int]] = {}
+        old_rows = old._rows
+        for u, row in self._rows.items():
+            old_row = old_rows.get(u)
+            if old_row is None:
+                continue
+            kept = {v: c for v, c in row.items() if old_row.get(v) == c}
+            if kept:
+                out[u] = kept
+        return DiffBounds._of_rows(out)
 
     def interval_of(self, var: str) -> Interval:
         """The plain interval of ``var`` relative to the zero variable."""
@@ -482,11 +559,18 @@ class GuardDomain(Domain):
             out.epoch = f"E!{label}"
         for name in a.regs.keys() & b.regs.keys():
             va, vb = a.regs[name], b.regs[name]
+            if va is vb:
+                # Most registers reach a join untouched on both sides.
+                out.regs[name] = va
+                continue
             merged = self._join_reg(va, vb, a, b, label)
             if merged is not None:
                 out.regs[name] = merged
         for slot in a.slots.keys() & b.slots.keys():
             va, vb = a.slots[slot], b.slots[slot]
+            if va is vb:
+                out.slots[slot] = va
+                continue
             merged = self._join_slot(out, a, b, slot, va, vb, label)
             if merged is not None:
                 out.slots[slot] = merged
@@ -494,12 +578,7 @@ class GuardDomain(Domain):
 
     def widen(self, old: GState, new: GState) -> GState:
         j = self.join(old, new)
-        kept = {
-            key: c
-            for key, c in j.facts.items()
-            if old.facts.bound(*key) == c
-        }
-        j.facts = DiffBounds(kept)
+        j.facts = j.facts.unchanged_since(old.facts)
         return j
 
     def _join_reg(self, va, vb, a: GState, b: GState, label: str):

@@ -27,12 +27,18 @@ order and block labels, never from hashes of ids — and the whole
 summary table folds into a stable digest
 (:func:`~repro.analysis.interproc.summaries.summaries_digest`) that
 rides the verification cache keys and telemetry.
+
+The table :func:`~repro.analysis.interproc.summaries.compute_summaries`
+returns (a :class:`~repro.analysis.interproc.summaries.SummaryTable`)
+also keeps each non-recursive function's fixpoint, which the pruning
+pass reuses instead of analysing the function a second time.
 """
 
 from repro.analysis.interproc.callgraph import CallGraph
 from repro.analysis.interproc.summaries import (
     SUMMARY_SCHEMA_VERSION,
     FunctionSummary,
+    SummaryTable,
     compute_summaries,
     summaries_digest,
 )
@@ -41,6 +47,7 @@ __all__ = [
     "CallGraph",
     "FunctionSummary",
     "SUMMARY_SCHEMA_VERSION",
+    "SummaryTable",
     "compute_summaries",
     "summaries_digest",
 ]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import analyze
+from repro.analysis.dataflow import DataflowResult, analyze
 from repro.analysis.interproc.callgraph import CallGraph
 from repro.ir import PointerType, Ret
 from repro.ir.function import Function
@@ -85,15 +85,46 @@ class FunctionSummary:
         return f"{self.function}: " + ", ".join(bits)
 
 
+class SummaryTable(dict):
+    """``{name: FunctionSummary}``, plus the fixpoints behind it.
+
+    :func:`compute_summaries` analyses each non-recursive function once,
+    under this very table (which then holds exactly its callees'
+    summaries) and the given widening settings. It keeps that
+    :class:`~repro.analysis.dataflow.DataflowResult` so the pruning pass
+    (:func:`repro.analysis.prune.prune_function`) can use it instead of
+    recomputing the same fixpoint. A kept fixpoint is handed out once:
+    pruning rewrites the function it describes.
+    """
+
+    def __init__(self, widen_after: int, max_visits: int):
+        super().__init__()
+        self.widen_after = widen_after
+        self.max_visits = max_visits
+        self._fixpoints: Dict[str, DataflowResult] = {}
+
+    def take_fixpoint(self, function: Function, widen_after: int,
+                      max_visits: int) -> Optional[DataflowResult]:
+        """The fixpoint of ``function`` (this very object) computed under
+        this table with the same settings, or None."""
+        if (widen_after, max_visits) != (self.widen_after, self.max_visits):
+            return None
+        result = self._fixpoints.get(function.name)
+        if result is None or result.function is not function:
+            return None
+        del self._fixpoints[function.name]
+        return result
+
+
 def compute_summaries(
     modules: Sequence[object],
     widen_after: int = 8,
     max_visits: int = 500,
-) -> Dict[str, FunctionSummary]:
+) -> SummaryTable:
     """Summaries for every function defined in ``modules``, bottom-up."""
     graph = CallGraph(modules)
     pure = _purity_fixpoint(graph)
-    summaries: Dict[str, FunctionSummary] = {}
+    summaries = SummaryTable(widen_after, max_visits)
     for component in graph.sccs_bottom_up():
         if graph.is_recursive(component):
             for name in component:
@@ -101,8 +132,7 @@ def compute_summaries(
             continue
         (name,) = component
         summaries[name] = _summarize_function(
-            graph.functions[name], summaries, pure[name],
-            widen_after, max_visits,
+            graph.functions[name], summaries, pure[name]
         )
     return summaries
 
@@ -221,10 +251,8 @@ def _as_fact_tuple(facts: Optional[Dict[Tuple[str, str], int]],
 
 def _summarize_function(
     function: Function,
-    summaries: Dict[str, FunctionSummary],
+    summaries: SummaryTable,
     pure: bool,
-    widen_after: int,
-    max_visits: int,
 ) -> FunctionSummary:
     from repro.analysis.domains import Bool, GuardDomain
 
@@ -233,9 +261,11 @@ def _summarize_function(
     domain = GuardDomain(cfg, summaries=summaries)
     try:
         result = analyze(function, domain, cfg=cfg,
-                         widen_after=widen_after, max_visits=max_visits)
+                         widen_after=summaries.widen_after,
+                         max_visits=summaries.max_visits)
     except RuntimeError:
         return _havoc(function, pure)
+    summaries._fixpoints[function.name] = result
 
     tokens = _token_map(function)
     ret_acc: Optional[Dict[Tuple[str, str], int]] = None

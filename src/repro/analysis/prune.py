@@ -33,6 +33,7 @@ from typing import Dict, List
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import analyze
 from repro.analysis.domains import GuardDomain
+from repro.analysis.interproc.summaries import SummaryTable
 from repro.ir import CondBr, ElidedGuardBr, Panic, validate_function
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -103,9 +104,17 @@ def prune_function(function: Function, widen_after: int = 8,
     ``summaries`` is an optional interprocedural summary table (see
     :mod:`repro.analysis.interproc`); with it, facts survive call sites
     instead of dying at havoc, so guards whose proofs span a call become
-    statically decidable."""
+    statically decidable. When ``summaries`` is the
+    :class:`~repro.analysis.interproc.summaries.SummaryTable` that
+    :func:`~repro.analysis.interproc.compute_summaries` filled, analysing
+    this very function with the same ``widen_after``/``max_visits``, its
+    fixpoint is reused rather than recomputed; any other table or
+    setting analyses the function here."""
     report = FunctionPruneReport(function.name)
-    cfg = CFG(function)
+    reused = None
+    if isinstance(summaries, SummaryTable):
+        reused = summaries.take_fixpoint(function, widen_after, max_visits)
+    cfg = reused.cfg if reused is not None else CFG(function)
     candidates = []
     for label in cfg.rpo:
         term = function.blocks[label].terminator
@@ -120,13 +129,17 @@ def prune_function(function: Function, widen_after: int = 8,
     if not candidates:
         return report
 
-    domain = GuardDomain(cfg, summaries=summaries)
-    try:
-        result = analyze(function, domain, cfg=cfg,
-                         widen_after=widen_after, max_visits=max_visits)
-    except RuntimeError:
-        report.bailed = True
-        return report
+    if reused is not None:
+        result = reused
+    else:
+        try:
+            result = analyze(function, GuardDomain(cfg, summaries=summaries),
+                             cfg=cfg, widen_after=widen_after,
+                             max_visits=max_visits)
+        except RuntimeError:
+            report.bailed = True
+            return report
+    domain = result.domain
 
     for label, term, panic_on_true in candidates:
         state = result.state_at_terminator(label)

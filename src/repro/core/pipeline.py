@@ -57,7 +57,8 @@ def clear_ir_cache() -> None:
 
 
 def _compiled(py_module, externs: Sequence[Module] = (),
-              analysis: bool = False) -> Module:
+              analysis: bool = False,
+              phases: Optional[Dict[str, float]] = None) -> Module:
     from repro.incremental.digest import source_digest
     from repro.resilience import faults
 
@@ -76,7 +77,9 @@ def _compiled(py_module, externs: Sequence[Module] = (),
     )
     cached = _IR_CACHE.get(key)
     if cached is None:
+        started = time.perf_counter()
         cached = compile_module(py_module, extern_modules=list(externs))
+        compiled = time.perf_counter()
         if analysis:
             from repro.analysis import prune_module
             from repro.analysis.interproc import (
@@ -90,23 +93,34 @@ def _compiled(py_module, externs: Sequence[Module] = (),
             summaries = compute_summaries(list(externs) + [cached])
             cached.prune_report = prune_module(cached, summaries=summaries)
             cached.summary_digest = summaries_digest(summaries)
+        if phases is not None:
+            phases["compile"] += compiled - started
+            if analysis:
+                phases["analysis"] += time.perf_counter() - compiled
         _IR_CACHE[key] = cached
     return cached
 
 
-def compile_engine_modules(version: str, analysis: bool = False) -> List[Module]:
+def compile_engine_modules(
+    version: str, analysis: bool = False,
+    phases: Optional[Dict[str, float]] = None,
+) -> List[Module]:
     """IR modules for one engine version plus the shared layers and the
     top-level specification; ``analysis=True`` runs the panic-pruning
-    pass on each module as it is compiled."""
+    pass on each module as it is compiled. ``phases`` (a dict with
+    ``compile`` and ``analysis`` keys) accumulates the seconds spent in
+    the frontend and in the analysis for the modules this call had to
+    build; a module from the cache adds nothing."""
     base = [
-        _compiled(nameops, analysis=analysis),
-        _compiled(nodestack, analysis=analysis),
-        _compiled(respops, analysis=analysis),
+        _compiled(nameops, analysis=analysis, phases=phases),
+        _compiled(nodestack, analysis=analysis, phases=phases),
+        _compiled(respops, analysis=analysis, phases=phases),
     ]
     version_module = control.ENGINE_VERSIONS[version]
     return base + [
-        _compiled(version_module, externs=base, analysis=analysis),
-        _compiled(toplevel, externs=base, analysis=analysis),
+        _compiled(version_module, externs=base, analysis=analysis,
+                  phases=phases),
+        _compiled(toplevel, externs=base, analysis=analysis, phases=phases),
     ]
 
 
@@ -271,9 +285,13 @@ class VerificationSession:
         self.tree_go = control.build_domain_tree(self.encoder)
         self.flat_go = control.build_flat_zone(self.encoder)
         compile_started = time.perf_counter()
-        modules = compile_engine_modules(version, analysis=analysis)
-        #: Compile (and analysis) seconds not yet charged to a result: the
-        #: first ``verify()`` adds them to its wall time and ``compile`` phase.
+        #: Frontend and analysis seconds of the modules this session
+        #: compiled, and the wall time of getting them, not yet charged to
+        #: a result: the first ``verify()`` reports them as its ``compile``
+        #: and ``analysis`` phases and adds the wall time to its own.
+        self._uncharged_phases = {"compile": 0.0, "analysis": 0.0}
+        modules = compile_engine_modules(version, analysis=analysis,
+                                         phases=self._uncharged_phases)
         self._uncharged_compile = time.perf_counter() - compile_started
         self.prune_report = None
         self.summary_digest: Optional[str] = None
@@ -361,8 +379,10 @@ class VerificationSession:
             self._mark_unknown(result, exc.reason, str(exc))
         except OutOfBudgetError as exc:
             self._mark_unknown(result, _exhaustion_reason(exc), str(exc))
-        compile_seconds, self._uncharged_compile = self._uncharged_compile, 0.0
-        result.elapsed_seconds = time.perf_counter() - started + compile_seconds
+        compile_wall, self._uncharged_compile = self._uncharged_compile, 0.0
+        compiled = self._uncharged_phases
+        self._uncharged_phases = {"compile": 0.0, "analysis": 0.0}
+        result.elapsed_seconds = time.perf_counter() - started + compile_wall
         result.solver_checks = self.executor.solver.num_checks - checks_before
         result.analysis = {
             "enabled": self.analysis_enabled,
@@ -395,7 +415,8 @@ class VerificationSession:
                 panic_blocks_removed=self.prune_report.panic_blocks_removed,
             )
         result.phase_seconds = {
-            "compile": round(compile_seconds, 6),
+            "compile": round(compiled["compile"], 6),
+            "analysis": round(compiled["analysis"], 6),
             "summarize": round(
                 sum(l.elapsed_seconds for l in result.layers
                     if l.name != "Resolve"), 6,

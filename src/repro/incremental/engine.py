@@ -301,6 +301,10 @@ def verify_cached(zone: Zone, version: str, options, cache: SummaryCache, *,
             unknown_reason=verdict["unknown_reason"],
         )
         result.elapsed_seconds = time.perf_counter() - started
+        # Nothing was compiled, analysed or run: every phase reads 0.0.
+        from repro.parallel.counters import perf_phases, unit_perf
+
+        result.phase_seconds = perf_phases(unit_perf(None))
     result.cache_stats = cache.stats()
     return result
 

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 #: ``guards_pruned`` is a max.
 PERF_KEYS = (
     ("compile_seconds", "phase_seconds", "compile"),
+    ("analysis_seconds", "phase_seconds", "analysis"),
     ("summarize_seconds", "phase_seconds", "summarize"),
     ("resolve_seconds", "phase_seconds", "resolve"),
     ("solve_seconds", "phase_seconds", "solve"),
@@ -85,7 +86,8 @@ class PerfCounters:
     units_replayed: int = 0  # resumed from a checkpoint, no perf recorded
     units_fallback: int = 0  # recomputed in-parent after a worker died
     units_timed_out: int = 0
-    compile_seconds: float = 0.0
+    compile_seconds: float = 0.0  # frontend only
+    analysis_seconds: float = 0.0  # summaries + panic pruning
     summarize_seconds: float = 0.0
     resolve_seconds: float = 0.0
     solve_seconds: float = 0.0  # inside Solver.check; overlaps the two above

@@ -8,7 +8,9 @@ pool can go wrong:
 
 - a **worker exception** propagates to the parent (exactly what an
   in-process run does), so it must survive pickling — an unpicklable one
-  breaks the pool and shows up as a death;
+  breaks the pool and shows up as a death. Before it propagates, the
+  queued units are cancelled and the running workers stopped, so the
+  caller sees it at once rather than after every queued unit has run;
 - a **worker process death** (OOM kill, segfault) breaks the pool;
   every unit still in flight is yielded with status ``"died"`` so the
   caller can rerun the same worker on the same payload in-process — one
@@ -62,6 +64,9 @@ _ENV_START = "REPRO_MP_START"
 #: Seconds between a pool worker's checks that its parent is alive.
 PARENT_POLL_SECONDS = 0.5
 
+#: Seconds to wait for each terminated worker to exit.
+KILL_JOIN_SECONDS = 5.0
+
 
 def mp_context():
     """The multiprocessing context pooled runs use."""
@@ -101,14 +106,21 @@ def _exit_with_parent() -> None:
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a stalled pool's workers so neither shutdown nor
-    interpreter exit blocks on a wedged process. ``_processes`` is
-    private API; guarded so a stdlib change degrades to a plain
-    (possibly blocking) shutdown rather than an error."""
-    for process in list(getattr(pool, "_processes", {}).values()):
+    """Hard-stop a pool's workers and reap them, so neither shutdown nor
+    interpreter exit blocks on a wedged process and none outlives the
+    call. ``_processes`` is private API; guarded so a stdlib change
+    degrades to a plain (possibly blocking) shutdown rather than an
+    error."""
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
         try:
             process.terminate()
         except (OSError, AttributeError):
+            pass
+    for process in processes:
+        try:
+            process.join(KILL_JOIN_SECONDS)
+        except (OSError, AttributeError, AssertionError):
             pass
 
 
@@ -144,35 +156,43 @@ def run_units(
         pending = set(futures)
         last_completion = time.monotonic()
         broken = False
-        while pending:
-            poll = 0.25
-            if grace_seconds is not None:
-                poll = min(poll, max(0.01, grace_seconds / 10))
-            done, pending = wait(pending, timeout=poll,
-                                 return_when=FIRST_COMPLETED)
-            if done:
-                last_completion = time.monotonic()
-                for future in done:
-                    index = futures[future]
-                    try:
-                        yield index, OK, future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        yield index, DIED, None
-                if broken:
-                    # The pool cannot run anything further; surrender the
-                    # in-flight units to the caller's fallback path.
+        try:
+            while pending:
+                poll = 0.25
+                if grace_seconds is not None:
+                    poll = min(poll, max(0.01, grace_seconds / 10))
+                done, pending = wait(pending, timeout=poll,
+                                     return_when=FIRST_COMPLETED)
+                if done:
+                    last_completion = time.monotonic()
+                    for future in done:
+                        index = futures[future]
+                        try:
+                            yield index, OK, future.result()
+                        except BrokenProcessPool:
+                            broken = True
+                            yield index, DIED, None
+                    if broken:
+                        # The pool cannot run anything further; surrender the
+                        # in-flight units to the caller's fallback path.
+                        for future in pending:
+                            yield futures[future], DIED, None
+                        return
+                    continue
+                if (
+                    grace_seconds is not None
+                    and time.monotonic() - last_completion > grace_seconds
+                ):
                     for future in pending:
-                        yield futures[future], DIED, None
+                        future.cancel()
+                    _kill_pool_processes(pool)
+                    for future in pending:
+                        yield futures[future], TIMEOUT, None
                     return
-                continue
-            if (
-                grace_seconds is not None
-                and time.monotonic() - last_completion > grace_seconds
-            ):
-                for future in pending:
-                    future.cancel()
-                _kill_pool_processes(pool)
-                for future in pending:
-                    yield futures[future], TIMEOUT, None
-                return
+        except BaseException:
+            # A worker raised (or the caller stopped consuming): cancel
+            # the queued units and stop the running ones, rather than let
+            # the pool's shutdown run every queued unit first.
+            _kill_pool_processes(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise

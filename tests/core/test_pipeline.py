@@ -252,19 +252,33 @@ class TestSessionMechanics:
         assert [l.name for l in result.layers] == ["Resolve"]
 
     def test_elapsed_covers_compile_and_layers(self):
-        """Oracle: a result's wall time covers its compile (analysis
-        included) and layer phases. ``solve`` overlaps the layers, so it
-        is not summed; compile is charged to the first verify only."""
+        """Oracle: a result's wall time covers its compile, analysis and
+        layer phases. ``solve`` overlaps the layers, so it is not summed;
+        compile and analysis are charged to the first verify only."""
         clear_ir_cache()  # make the first verify pay a real compile
         session = VerificationSession(minimal_zone(), "verified")
         first, second = session.verify(), session.verify()
         assert first.phase_seconds["compile"] > 0
+        assert first.phase_seconds["analysis"] > 0
         assert second.phase_seconds["compile"] == 0.0
-        for result in (first, second):
+        assert second.phase_seconds["analysis"] == 0.0
+        # Every module is cached now: a new session compiles nothing.
+        warm = VerificationSession(minimal_zone(), "verified").verify()
+        assert warm.phase_seconds["compile"] == 0.0
+        assert warm.phase_seconds["analysis"] == 0.0
+        for result in (first, second, warm):
             phases = result.phase_seconds
             assert result.elapsed_seconds >= (
-                phases["compile"] + phases["summarize"] + phases["resolve"]
+                phases["compile"] + phases["analysis"]
+                + phases["summarize"] + phases["resolve"]
             )
+
+    def test_analysis_off_reports_no_analysis_time(self):
+        clear_ir_cache()
+        result = VerificationSession(minimal_zone(), "verified",
+                                     analysis=False).verify()
+        assert result.phase_seconds["compile"] > 0
+        assert result.phase_seconds["analysis"] == 0.0
 
     def test_result_describe_readable(self, results):
         text = results["dev"].describe()

@@ -36,6 +36,13 @@ class TestVerifyJson:
         assert payload["bugs"] == []
         assert {layer["name"] for layer in payload["layers"]} >= {"Resolve"}
         assert payload["solver_checks"] > 0
+        phases = payload["phase_seconds"]
+        assert set(phases) == {
+            "compile", "analysis", "summarize", "resolve", "solve"
+        }
+        assert phases["compile"] + phases["analysis"] \
+            + phases["summarize"] + phases["resolve"] \
+            <= payload["elapsed_seconds"]
 
     def test_json_reports_bugs_and_cache_stats(self, zone_file, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -57,6 +64,8 @@ class TestVerifyJson:
         assert rc == 1
         assert payload["solver_checks"] == 0
         assert payload["cache"]["hits"] > 0
+        assert payload["phase_seconds"]["compile"] == 0.0
+        assert payload["phase_seconds"]["analysis"] == 0.0
 
     def test_watch_cli_max_updates(self, zone_file, capsys):
         rc = cli.main([

@@ -62,7 +62,7 @@ class TestPartitionedVerify:
         zone = ZoneGenerator(CONFIG).generate(0)
         result = verify_engine(zone, "verified", VerifyOptions(workers=2))
         assert set(result.phase_seconds) == {
-            "compile", "summarize", "resolve", "solve"
+            "compile", "analysis", "summarize", "resolve", "solve"
         }
         assert result.phase_seconds["resolve"] > 0
         assert result.phase_seconds["solve"] > 0

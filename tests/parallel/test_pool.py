@@ -1,5 +1,6 @@
 """The pool primitive: completion-order yields, worker death, stalls."""
 
+import multiprocessing
 import os
 import time
 
@@ -24,6 +25,17 @@ def sleep_forever(payload):
 
 def raise_value_error(payload):
     raise ValueError(f"unit {payload['x']}")
+
+
+def raise_on_zero_else_sleep(payload):
+    if payload["x"] == 0:
+        raise ValueError("unit 0")
+    time.sleep(2)
+    return {"value": payload["x"]}
+
+
+def live_children():
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 PAYLOADS = [{"x": x} for x in range(5)]
@@ -87,3 +99,19 @@ class TestPooled:
         statuses = {index: status for index, status, _ in results}
         assert statuses[0] == OK
         assert statuses[1] == TIMEOUT
+
+    def test_worker_exception_stops_the_pool_at_once(self):
+        """A raising unit must not wait for the queued units to run (five
+        two-second sleepers on two workers would take ~6 s), and no pool
+        worker may outlive the call."""
+        before = live_children()
+        payloads = [{"x": x} for x in range(6)]
+        started = time.monotonic()
+        try:
+            list(run_units(raise_on_zero_else_sleep, payloads, workers=2))
+        except ValueError as exc:
+            assert "unit 0" in str(exc)
+        else:
+            raise AssertionError("worker exception swallowed")
+        assert time.monotonic() - started < 1.5
+        assert live_children() - before == set()
