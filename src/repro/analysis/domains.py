@@ -1136,8 +1136,11 @@ class GuardDomain(Domain):
                          null: str) -> Optional[GState]:
         if tv.null != MAYBE and tv.null != null:
             return None
+        pid = tv.pid
         for name, value in list(state.regs.items()):
-            if value == tv:
+            # Only a Ptr can equal ``tv``; the pid test skips the dataclass
+            # __eq__ for every other register.
+            if value.__class__ is Ptr and value.pid == pid and value == tv:
                 state.regs[name] = replace(value, null=null)
         if tv.origin is not None:
             slot_value = state.slots.get(tv.origin)

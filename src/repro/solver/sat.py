@@ -4,8 +4,10 @@ Formulas arrive in NNF (guaranteed by the smart constructors in
 :mod:`repro.solver.terms`). The search maintains a partial assignment —
 boolean literals plus a growing set of linear atoms — and splits on
 disjunctions. Conjunctions of atoms are discharged by the theory solver
-(:mod:`repro.solver.theory`), whose verdicts are memoised per atom-set since
-symbolic execution re-checks many near-identical path conditions.
+(:mod:`repro.solver.theory`), whose verdicts are memoised per independent
+component of the atom set: symbolic execution re-checks many near-identical
+path conditions, and what changes between them is usually one small group
+of atoms sharing variables while the other groups repeat exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +36,15 @@ class SatResult(enum.Enum):
 
 
 class TheoryCache:
-    """Memo of theory verdicts keyed by the exact atom set."""
+    """Memo of theory verdicts keyed by independent component.
+
+    An atom set splits into components that share no variables (the
+    constant atoms, if any, form one more). The conjunction is UNSAT iff
+    some component is, and otherwise SAT with the union of the component
+    models (their variables are disjoint), so each component is decided
+    once by :func:`theory.check_conjunction` and memoised by its exact
+    atom set; ``hits``/``misses`` count component lookups.
+    """
 
     def __init__(self):
         self._cache: Dict[FrozenSet[Atom], Tuple[theory.TheoryResult, Optional[Dict[str, int]]]] = {}
@@ -42,14 +52,66 @@ class TheoryCache:
         self.misses = 0
 
     def check(self, atoms: FrozenSet[Atom]):
-        cached = self._cache.get(atoms)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = theory.check_conjunction(atoms)
-        self._cache[atoms] = result
-        return result
+        model: Dict[str, int] = {}
+        unknown = False
+        for component in _components(atoms):
+            cached = self._cache.get(component)
+            if cached is None:
+                self.misses += 1
+                cached = self._cache[component] = theory.check_conjunction(component)
+            else:
+                self.hits += 1
+            verdict, part = cached
+            if verdict is theory.TheoryResult.UNSAT:
+                return cached
+            if verdict is theory.TheoryResult.UNKNOWN:
+                unknown = True
+            elif not unknown:
+                model.update(part)
+        if unknown:
+            return theory.TheoryResult.UNKNOWN, None
+        return theory.TheoryResult.SAT, model
+
+
+def _components(atoms: FrozenSet[Atom]) -> List[FrozenSet[Atom]]:
+    """``atoms`` split into groups that share no variables (union-find
+    over variable names); the constant atoms form one group of their own."""
+    owner: Dict[str, list] = {}  # variable -> [atoms, variables] of its group
+    groups = []
+    constants = []
+    for atom in atoms:
+        coeffs = atom.expr.coeffs
+        if not coeffs:
+            constants.append(atom)
+            continue
+        group = None
+        for name, _ in coeffs:
+            other = owner.get(name)
+            if other is group and other is not None:
+                continue
+            if other is None:
+                if group is None:
+                    group = [[], []]
+                    groups.append(group)
+                group[1].append(name)
+                owner[name] = group
+                continue
+            if group is None:
+                group = other
+                continue
+            # Merge the smaller group into the larger one.
+            if len(other[1]) > len(group[1]):
+                group, other = other, group
+            group[0].extend(other[0])
+            group[1].extend(other[1])
+            for moved in other[1]:
+                owner[moved] = group
+            other[1] = None
+        group[0].append(atom)
+    out = [frozenset(group[0]) for group in groups if group[1] is not None]
+    if constants:
+        out.append(frozenset(constants))
+    return out
 
 
 class _Search:

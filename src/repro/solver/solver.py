@@ -23,6 +23,7 @@ from repro.solver.terms import (
     Atom,
     BoolConst,
     BoolExpr,
+    BoolLit,
     and_,
     bool_const,
     eval_expr,
@@ -145,6 +146,13 @@ class Solver:
         assumption order), extras, which fixes the search order and so the
         models.
 
+        A miss whose extra literal (an atom or boolean literal) has its
+        negation among the query's own formulas is UNSAT without running
+        the sat core: the executor's check of a branch side the path has
+        already decided the other way. The core would meet that pair at
+        its root, before any split or theory call, and answer UNSAT too;
+        only the path flatten and the search are skipped.
+
         ``guard=True`` marks a panic-guard feasibility query (the
         executor's hot path): a difference-bound prepass scans the
         conjunction for unit-coefficient atoms and runs a Bellman-Ford
@@ -184,18 +192,23 @@ class Solver:
             self._model = model
             return result
 
-        formulas = [*self._assertions, *path.formulas(), *extras]
+        formulas = None
+        refuted = False
         if guard:
+            formulas = [*self._assertions, *path.formulas(), *extras]
             self.guard_prepass_checks += 1
-            if _difference_infeasible(formulas):
-                # Count the dispatch exactly as the sat core would, so
-                # every counter downstream is prepass-agnostic.
-                self.num_checks += 1
-                self.guard_prepass_unsat += 1
-                self._model = None
-                self._result_cache[key] = (SolveResult.UNSAT, None)
-                return SolveResult.UNSAT
+            refuted = _difference_infeasible(formulas)
+            self.guard_prepass_unsat += refuted
+        if refuted or self._complement_in(key, extras):
+            # Count the dispatch exactly as the sat core would, so every
+            # counter downstream is agnostic of the shortcut taken.
+            self.num_checks += 1
+            self._model = None
+            self._result_cache[key] = (SolveResult.UNSAT, None)
+            return SolveResult.UNSAT
 
+        if formulas is None:
+            formulas = [*self._assertions, *path.formulas(), *extras]
         self.num_checks += 1
         sat_result, model_dict = sat.check_formulas(
             formulas, self._cache, self._node_limit
@@ -205,6 +218,18 @@ class Solver:
         self._model = model
         self._result_cache[key] = (result, model)
         return result
+
+    def _complement_in(self, key: int, extras: List[BoolExpr]) -> bool:
+        """True iff some extra literal's negation is already one of the
+        query's top-level formulas (a bit of ``key``), which makes the
+        query UNSAT by that pair alone."""
+        index = self._formula_index
+        for formula in extras:
+            if isinstance(formula, (Atom, BoolLit)):
+                position = index.get(not_(formula))
+                if position is not None and key >> position & 1:
+                    return True
+        return False
 
     def _bit(self, formula: BoolExpr) -> int:
         index = self._formula_index

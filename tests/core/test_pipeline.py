@@ -19,6 +19,7 @@ from repro.core import (
     clear_ir_cache,
     verify_engine,
 )
+from repro.solver import sat
 from repro.spec import reference_resolve
 from repro.zonegen import evaluation_zone, minimal_zone
 
@@ -141,13 +142,41 @@ FUEL_PARTIAL = {
 }
 
 
+#: Sat-core dispatches (``sat.check_formulas`` calls) per version on the
+#: evaluation zone. Fewer than the solver checks in ``GOLDEN``: a check
+#: whose branch literal the path already negates is refuted without one.
+SAT_DISPATCHES = {
+    "verified": 1439,
+    "v1.0": 1532,
+    "v2.0": 1323,
+    "v3.0": 1488,
+    "dev": 1412,
+}
+
+
 @pytest.fixture(scope="module")
-def results():
+def runs():
+    """Per version: the verification result and how many times it called
+    ``sat.check_formulas`` (counted by wrapping it for the run)."""
     zone = evaluation_zone()
-    return {
-        version: verify_engine(zone, version)
-        for version in ("verified", "v1.0", "v2.0", "v3.0", "dev")
-    }
+    real = sat.check_formulas
+    out = {}
+    for version in ("verified", "v1.0", "v2.0", "v3.0", "dev"):
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sat, "check_formulas", counting)
+            out[version] = (verify_engine(zone, version), calls[0])
+    return out
+
+
+@pytest.fixture(scope="module")
+def results(runs):
+    return {version: result for version, (result, _) in runs.items()}
 
 
 class TestVerifiedEngine:
@@ -323,3 +352,7 @@ class TestGoldenPin:
             (bug.categories, bug.qname_codes, bug.qtype_code, bug.validated)
             for bug in result.bugs
         ] == bugs
+
+    @pytest.mark.parametrize("version", sorted(SAT_DISPATCHES))
+    def test_sat_dispatches_pinned(self, runs, version):
+        assert runs[version][1] == SAT_DISPATCHES[version]

@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.solver import (
+    TRUE_PATH,
     Solver,
     SolveResult,
     and_,
@@ -24,6 +25,7 @@ from repro.solver import (
     not_,
     or_,
 )
+from repro.solver import sat
 
 x, y, z = ivar("x"), ivar("y"), ivar("z")
 
@@ -168,6 +170,83 @@ class TestIncremental:
             pass
         else:
             raise AssertionError("expected RuntimeError")
+
+
+class TestComplementRefutation:
+    """A check whose extra literal the query already negates at top level
+    is UNSAT without a sat-core dispatch, counted and cached as one."""
+
+    @staticmethod
+    def core_calls(monkeypatch):
+        calls = []
+        real = sat.check_formulas
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sat, "check_formulas", counting)
+        return calls
+
+    def assert_refuted(self, solver, literal, path, calls):
+        checks = solver.num_checks
+        assert solver.check(literal, path=path) is SolveResult.UNSAT
+        assert solver.num_checks == checks + 1
+        assert calls == []
+        try:
+            solver.model()
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("an UNSAT check left a model behind")
+        # The repeat is a result-cache hit: no dispatch is counted.
+        assert solver.check(literal, path=path) is SolveResult.UNSAT
+        assert solver.num_checks == checks + 1
+        assert calls == []
+
+    def test_atom_negated_in_the_path(self, monkeypatch):
+        calls = self.core_calls(monkeypatch)
+        solver = Solver()
+        a = le(x, 3)
+        path = TRUE_PATH.assume_all([ge(y, 0), a, ne(z, 1)])
+        assert solver.check(ge(y, 2), path=path) is SolveResult.SAT
+        calls.clear()
+        self.assert_refuted(solver, not_(a), path, calls)
+
+    def test_bool_literal_negated_in_the_path(self, monkeypatch):
+        calls = self.core_calls(monkeypatch)
+        solver = Solver()
+        flag = bvar("flag")
+        path = TRUE_PATH.assume_all([not_(flag), le(x, 9)])
+        self.assert_refuted(solver, flag, path, calls)
+
+    def test_literal_negated_by_an_assertion(self, monkeypatch):
+        calls = self.core_calls(monkeypatch)
+        solver = Solver()
+        solver.add(eq(x, 4), bvar("p"))
+        path = TRUE_PATH.assume(ge(y, 1))
+        self.assert_refuted(solver, ne(x, 4), path, calls)
+        self.assert_refuted(solver, not_(bvar("p")), path, calls)
+
+    def test_contradiction_nested_in_an_and_reaches_the_core(self, monkeypatch):
+        calls = self.core_calls(monkeypatch)
+        solver = Solver()
+        a = le(x, 3)
+        path = TRUE_PATH.assume(and_(ge(y, 0), a))
+        assert solver.check(not_(a), path=path) is SolveResult.UNSAT
+        assert len(calls) == 1 and solver.num_checks == 1
+
+    def test_negation_outside_the_query_is_not_a_refutation(self, monkeypatch):
+        calls = self.core_calls(monkeypatch)
+        solver = Solver()
+        a = le(x, 3)
+        # ``a`` is known to the solver from an earlier query, but it is not
+        # in this one: the check must still be decided by the core.
+        assert solver.check(a) is SolveResult.SAT
+        assert solver.check(not_(a), path=TRUE_PATH.assume(ge(x, 0))) \
+            is SolveResult.SAT
+        assert len(calls) == 2
+        assert solver.model().get_int("x") >= 4
 
 
 class TestLargeDomains:
