@@ -51,8 +51,6 @@ def measure(version="verified"):
         "solver_checks_avoided": on.analysis["solver_checks_avoided"],
         "guards_total": on.analysis.get("guards_total", 0),
         "guards_pruned": on.analysis.get("guards_pruned", 0),
-        "guard_prepass_checks": on.analysis["guard_prepass_checks"],
-        "guard_prepass_unsat": on.analysis["guard_prepass_unsat"],
         "residual_by_function": on.analysis["guard_checks_by_function"],
         "discharged_by_function": on.analysis["pruned_hits_by_function"],
         "summary_digest": on.analysis.get("summary_digest"),

@@ -16,11 +16,8 @@ def test_solver_conjunction_sat(benchmark):
     x = [ivar(f"x{i}") for i in range(12)]
 
     def check():
-        solver = Solver()
-        for a, b in zip(x, x[1:]):
-            solver.add(lt(a, b))
-        solver.add(ge(x[0], 0), le(x[-1], 100), ne(x[3], 17))
-        return solver.check()
+        ordered = [lt(a, b) for a, b in zip(x, x[1:])]
+        return Solver().check(*ordered, ge(x[0], 0), le(x[-1], 100), ne(x[3], 17))
 
     result = benchmark(check)
     assert result is SolveResult.SAT
@@ -35,9 +32,7 @@ def test_solver_disjunction_search(benchmark):
     )
 
     def check():
-        solver = Solver()
-        solver.add(formula, ge(x, 8))
-        return solver.check()
+        return Solver().check(formula, ge(x, 8))
 
     result = benchmark(check)
     assert result is SolveResult.SAT

@@ -263,7 +263,7 @@ def cmd_watch(args) -> int:
 
 
 def cmd_faultdrill(args) -> int:
-    from repro.testing import fault_drill
+    from repro.testing.faultdrill import fault_drill
 
     report = fault_drill(args.version)
     print(report.describe())

@@ -364,8 +364,6 @@ class VerificationSession:
         solver = self.executor.solver
         checks_before = solver.num_checks
         solve_before = solver.check_seconds
-        prepass_checks_before = getattr(solver, "guard_prepass_checks", 0)
-        prepass_unsat_before = getattr(solver, "guard_prepass_unsat", 0)
         stats = self.executor.stats
         guard_checks_before = stats.panic_guard_checks
         guard_hits_before = stats.pruned_guard_hits
@@ -389,14 +387,6 @@ class VerificationSession:
             "panic_guard_checks": stats.panic_guard_checks - guard_checks_before,
             "pruned_guard_hits": stats.pruned_guard_hits - guard_hits_before,
             "solver_checks_avoided": stats.pruned_checks_avoided - avoided_before,
-            "guard_prepass_checks": (
-                getattr(solver, "guard_prepass_checks", 0)
-                - prepass_checks_before
-            ),
-            "guard_prepass_unsat": (
-                getattr(solver, "guard_prepass_unsat", 0)
-                - prepass_unsat_before
-            ),
             # Per-function residual guard checks and pruned crossings —
             # what makes a discharge regression attributable.
             "guard_checks_by_function": _dict_delta(

@@ -35,8 +35,6 @@ PERF_KEYS = (
     ("solver_checks_avoided", "analysis", "solver_checks_avoided"),
     ("pruned_guard_hits", "analysis", "pruned_guard_hits"),
     ("guards_pruned", "analysis", "guards_pruned"),
-    ("guard_prepass_checks", "analysis", "guard_prepass_checks"),
-    ("guard_prepass_unsat", "analysis", "guard_prepass_unsat"),
 )
 
 
@@ -101,10 +99,6 @@ class PerfCounters:
     solver_checks_avoided: int = 0
     pruned_guard_hits: int = 0
     guards_pruned: int = 0
-    # The solver-side prepass: residual guard checks answered by the
-    # relational domain alone, without building a formula.
-    guard_prepass_checks: int = 0
-    guard_prepass_unsat: int = 0
     _started: float = field(default_factory=time.perf_counter, repr=False)
 
     def absorb(self, perf: Optional[Dict]) -> None:

@@ -19,8 +19,8 @@ Layout:
   lazy theory checks.
 - :mod:`repro.solver.pathcond` — persistent, prefix-sharing path
   conditions (:class:`PathCondition`) and their memoised cache keys.
-- :mod:`repro.solver.solver` — the :class:`Solver` facade with fixed
-  assertions, result caching, and validity/entailment helpers.
+- :mod:`repro.solver.solver` — the :class:`Solver` facade: one check of a
+  path condition plus extra formulas, result caching, and models.
 """
 
 from repro.solver.terms import (

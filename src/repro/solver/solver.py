@@ -2,29 +2,24 @@
 
 Plays the role Z3 plays in the paper: path-condition satisfiability during
 symbolic execution, equivalence checking during refinement, and model
-(counterexample) extraction. The facade adds fixed assertions, a result
-cache keyed on the set of formulas checked, a cross-query theory cache, and
-convenience entailment helpers on top of :mod:`repro.solver.sat`.
+(counterexample) extraction. The facade adds a result cache keyed on the
+set of formulas checked and a cross-query theory cache on top of
+:mod:`repro.solver.sat`.
 """
 
 from __future__ import annotations
 
 import enum
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.resilience import faults
 from repro.solver import sat
 from repro.solver.pathcond import TRUE_PATH, PathCondition
 from repro.solver.terms import (
-    EQ,
-    NE,
-    And,
     Atom,
-    BoolConst,
     BoolExpr,
     BoolLit,
-    and_,
     bool_const,
     eval_expr,
     free_vars,
@@ -77,7 +72,7 @@ class Model:
 
 
 class Solver:
-    """Solver with fixed assertions and a result cache.
+    """Solver with a result cache.
 
     Typical use by the symbolic executor: one check per branch side, the
     path condition handed over as the persistent node it already is::
@@ -92,13 +87,12 @@ class Solver:
     """
 
     def __init__(self, node_limit: int = 200000, budget=None):
-        self._assertions: List[BoolExpr] = []
         self._cache = sat.TheoryCache()
         self._node_limit = node_limit
         self._model: Optional[Model] = None
         #: Formula -> its position in the bit sets that key
         #: ``_result_cache``: a key is the set of distinct formulas of one
-        #: query (assertions, path, extras) as an int with those bits set.
+        #: query (path, extras) as an int with those bits set.
         self._formula_index: Dict[BoolExpr, int] = {}
         self._result_cache: Dict[int, tuple] = {}
         self.num_checks = 0
@@ -110,41 +104,20 @@ class Solver:
         self.budget = budget
         self.budget_unknowns = 0
         self.injected_unknowns = 0
-        #: Guard-flagged queries the difference-bound prepass decided
-        #: UNSAT without dispatching the sat core (and how many it
-        #: looked at). Telemetry only — the prepass never changes a
-        #: verdict, it only reaches UNSAT cheaper.
-        self.guard_prepass_unsat = 0
-        self.guard_prepass_checks = 0
-
-    # -- assertions ----------------------------------------------------------
-
-    def add(self, *formulas: Union[BoolExpr, bool]) -> None:
-        for formula in formulas:
-            if isinstance(formula, bool):
-                formula = bool_const(formula)
-            if not isinstance(formula, BoolExpr):
-                raise TypeError(f"not a boolean formula: {formula!r}")
-            self._assertions.append(formula)
-
-    @property
-    def assertions(self) -> List[BoolExpr]:
-        return list(self._assertions)
 
     # -- checking ------------------------------------------------------------
 
-    def check(self, *extra: Union[BoolExpr, bool], guard: bool = False,
+    def check(self, *extra: Union[BoolExpr, bool],
               path: PathCondition = TRUE_PATH) -> SolveResult:
-        """Satisfiability of the assertions plus ``path`` plus ``extra``.
+        """Satisfiability of ``path`` plus ``extra``.
 
         ``path`` is a path condition, handed over as the persistent node it
         already is (``extra`` may also hold plain bools). Results are
         cached on the *set* of formulas, whatever their order or
         multiplicity; the key of ``path`` is memoised on its node, so a
         check costs O(1) key work, and the formula list is built only when
-        the sat core actually runs — in the order assertions, path (in
-        assumption order), extras, which fixes the search order and so the
-        models.
+        the sat core actually runs — in the order path (in assumption
+        order), extras, which fixes the search order and so the models.
 
         A miss whose extra literal (an atom or boolean literal) has its
         negation among the query's own formulas is UNSAT without running
@@ -152,23 +125,14 @@ class Solver:
         already decided the other way. The core would meet that pair at
         its root, before any split or theory call, and answer UNSAT too;
         only the path flatten and the search are skipped.
-
-        ``guard=True`` marks a panic-guard feasibility query (the
-        executor's hot path): a difference-bound prepass scans the
-        conjunction for unit-coefficient atoms and runs a Bellman-Ford
-        negative-cycle check first. The prepass only ever answers UNSAT
-        (a subset of the constraints being infeasible makes the whole
-        query infeasible), so results are exactly what the sat core
-        would return — just cheaper when the analysis-discharged facts
-        already close the cycle.
         """
         started = perf_counter()
         try:
-            return self._check(path, extra, guard)
+            return self._check(path, extra)
         finally:
             self.check_seconds += perf_counter() - started
 
-    def _check(self, path: PathCondition, extra, guard: bool) -> SolveResult:
+    def _check(self, path: PathCondition, extra) -> SolveResult:
         # Degraded modes come first and are never result-cached: a later
         # check of the same formulas under a fresh budget must re-solve.
         if self.budget is not None and self.budget.exhausted() is not None:
@@ -182,8 +146,6 @@ class Solver:
 
         extras = [bool_const(f) if isinstance(f, bool) else f for f in extra]
         key = self._path_key(path)
-        for formula in self._assertions:
-            key |= self._bit(formula)
         for formula in extras:
             key |= self._bit(formula)
         cached = self._result_cache.get(key)
@@ -192,14 +154,7 @@ class Solver:
             self._model = model
             return result
 
-        formulas = None
-        refuted = False
-        if guard:
-            formulas = [*self._assertions, *path.formulas(), *extras]
-            self.guard_prepass_checks += 1
-            refuted = _difference_infeasible(formulas)
-            self.guard_prepass_unsat += refuted
-        if refuted or self._complement_in(key, extras):
+        if self._complement_in(key, extras):
             # Count the dispatch exactly as the sat core would, so every
             # counter downstream is agnostic of the shortcut taken.
             self.num_checks += 1
@@ -207,8 +162,7 @@ class Solver:
             self._result_cache[key] = (SolveResult.UNSAT, None)
             return SolveResult.UNSAT
 
-        if formulas is None:
-            formulas = [*self._assertions, *path.formulas(), *extras]
+        formulas = [*path.formulas(), *extras]
         self.num_checks += 1
         sat_result, model_dict = sat.check_formulas(
             formulas, self._cache, self._node_limit
@@ -262,89 +216,3 @@ class Solver:
         if self._model is None:
             raise RuntimeError("no model available (last check was not SAT)")
         return self._model
-
-    # -- derived judgements -----------------------------------------------
-
-    def is_satisfiable(self, *extra: BoolExpr) -> bool:
-        """True unless proven UNSAT. The sound default for path pruning:
-        an UNKNOWN branch is still explored."""
-        return self.check(*extra) is not SolveResult.UNSAT
-
-    def entails(self, formula: BoolExpr) -> bool:
-        """True iff assertions ⊨ formula (proven). UNKNOWN counts as not
-        proven — the sound default for refinement obligations."""
-        return self.check(not_(formula)) is SolveResult.UNSAT
-
-    def equivalent(self, a: BoolExpr, b: BoolExpr) -> bool:
-        """True iff a and b agree under the current assertions (proven)."""
-        differ = or_differ(a, b)
-        return self.check(differ) is SolveResult.UNSAT
-
-
-#: Edge-count ceiling for the guard prepass; past it, Bellman-Ford costs
-#: more than it saves and the sat core (with its theory cache) wins.
-_PREPASS_MAX_EDGES = 2000
-
-
-def _difference_infeasible(formulas: List[BoolExpr]) -> bool:
-    """True iff the unit-difference fragment of ``formulas`` is already
-    infeasible (a negative cycle in the induced constraint graph).
-
-    Only atoms of the form ``±x + c <= 0``, ``x - y + c <= 0`` or their
-    equality variants contribute; everything else is ignored, which is
-    what makes an UNSAT answer sound and a SAT answer impossible.
-    """
-    edges: List[tuple] = []  # (u, v, c) meaning u - v <= c; "" is zero
-    stack = list(formulas)
-    while stack:
-        formula = stack.pop()
-        if isinstance(formula, And):
-            stack.extend(formula.args)
-            continue
-        if isinstance(formula, BoolConst):
-            if not formula.value:
-                return True
-            continue
-        if not isinstance(formula, Atom) or formula.kind == NE:
-            continue
-        coeffs = formula.expr.coeffs
-        if len(coeffs) > 2 or any(abs(c) != 1 for _, c in coeffs):
-            continue
-        pos = [n for n, c in coeffs if c == 1]
-        neg = [n for n, c in coeffs if c == -1]
-        if len(pos) > 1 or len(neg) > 1:
-            continue
-        u = pos[0] if pos else ""
-        v = neg[0] if neg else ""
-        # expr <= 0 is u - v + const <= 0, i.e. u - v <= -const.
-        edges.append((u, v, -formula.expr.const))
-        if formula.kind == EQ:
-            edges.append((v, u, formula.expr.const))
-    if not edges or len(edges) > _PREPASS_MAX_EDGES:
-        return False
-    nodes = {""}
-    for u, v, _ in edges:
-        nodes.add(u)
-        nodes.add(v)
-    # Bellman-Ford from a virtual all-zeros source: a relaxation still
-    # firing after |V| full passes witnesses a negative cycle.
-    dist = {n: 0 for n in nodes}
-    for _ in range(len(nodes)):
-        changed = False
-        for u, v, c in edges:
-            through = dist[v] + c
-            if through < dist[u]:
-                dist[u] = through
-                changed = True
-        if not changed:
-            return False
-    return True
-
-
-def or_differ(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    """Formula that is true exactly when ``a`` and ``b`` disagree."""
-    return and_(a, not_(b)) | and_(not_(a), b)
-
-
-def conjunction(formulas: Iterable[BoolExpr]) -> BoolExpr:
-    return and_(*list(formulas))

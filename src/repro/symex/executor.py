@@ -289,8 +289,7 @@ class Executor:
                     )
         return results
 
-    def _branch(self, state, regs, cond, then_block, else_block, work,
-                guard: bool = False) -> None:
+    def _branch(self, state, regs, cond, then_block, else_block, work) -> None:
         if not isinstance(cond, BoolExpr):
             raise SymexError(f"condition is not boolean: {cond!r}")
         if cond is TRUE or cond is FALSE:
@@ -308,19 +307,19 @@ class Executor:
         if witness_says is True:
             feasible_true = True
             feasible_false, false_witness = self._feasible_with_model(
-                state.pc, negated, guard
+                state.pc, negated
             )
         elif witness_says is False:
             feasible_false = True
             feasible_true, true_witness = self._feasible_with_model(
-                state.pc, cond, guard
+                state.pc, cond
             )
         else:
             feasible_true, true_witness = self._feasible_with_model(
-                state.pc, cond, guard
+                state.pc, cond
             )
             feasible_false, false_witness = self._feasible_with_model(
-                state.pc, negated, guard
+                state.pc, negated
             )
         if feasible_true and feasible_false:
             other = state.fork()
@@ -389,10 +388,10 @@ class Executor:
         state.assume(survive)
         work.append((state, regs, target, 0))
 
-    def _feasible_with_model(self, pc, cond, guard: bool = False):
+    def _feasible_with_model(self, pc, cond):
         """Is ``pc`` plus ``cond`` satisfiable, and with which model?"""
         self.stats.solver_checks += 1
-        verdict = self.solver.check(cond, guard=guard, path=pc)
+        verdict = self.solver.check(cond, path=pc)
         if verdict is SolveResult.SAT:
             return True, _Witness(self.solver.model().as_dict())
         if verdict is SolveResult.UNKNOWN:
@@ -947,7 +946,7 @@ def _guard_branch(cond_key, then_block: DecodedBlock,
         cond = regs[cond_key]
         stats = ex.stats
         before = stats.solver_checks
-        ex._branch(state, regs, cond, then_block, else_block, work, guard=True)
+        ex._branch(state, regs, cond, then_block, else_block, work)
         spent = stats.solver_checks - before
         stats.panic_guard_checks += spent
         if spent:

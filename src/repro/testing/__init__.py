@@ -13,22 +13,10 @@ from repro.testing.differential import (
     differential_test,
     enumerate_queries,
 )
-from repro.testing.chaosdrill import (
-    ChaosDrillConfig,
-    ChaosDrillReport,
-    chaos_drill,
-)
-from repro.testing.faultdrill import FaultDrillReport, SiteOutcome, fault_drill
 
 __all__ = [
-    "ChaosDrillConfig",
-    "ChaosDrillReport",
     "DifferentialResult",
     "Divergence",
     "differential_test",
     "enumerate_queries",
-    "FaultDrillReport",
-    "SiteOutcome",
-    "chaos_drill",
-    "fault_drill",
 ]

@@ -1,11 +1,18 @@
 """Tests for verification campaigns and the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro.core
 from repro.cli import main as cli_main
 from repro.core import CampaignReport, VerifyOptions, run_campaign
 from repro.zonegen import GeneratorConfig, ZoneGenerator, minimal_zone
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestCampaign:
@@ -129,3 +136,22 @@ class TestCLI:
     def test_unknown_version_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["verify", "--version", "v9.9"])
+
+    def test_verify_does_not_import_the_serving_stack(self):
+        """A verify run in a fresh interpreter loads neither asyncio nor
+        ssl, nor the chaos and fault drills that drive the serving plane."""
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--zone', 'minimal', '--json'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        code, modules = json.loads(out)
+        assert code == 0
+        unwanted = {"asyncio", "ssl", "repro.testing.chaosdrill",
+                    "repro.testing.faultdrill"}
+        assert unwanted.isdisjoint(modules)

@@ -38,28 +38,27 @@ class TestQueryEncoding:
     def test_preconditions_satisfiable(self, encoding):
         _, qenc = encoding
         solver = Solver()
-        solver.add(*qenc.preconditions())
-        assert solver.check() is SolveResult.SAT
+        assert solver.check(*qenc.preconditions()) is SolveResult.SAT
 
     def test_preconditions_bound_length(self, encoding):
         _, qenc = encoding
         solver = Solver()
-        solver.add(*qenc.preconditions())
-        assert solver.check(eq(ivar("nameLen"), 0)) is SolveResult.UNSAT
-        assert solver.check(eq(ivar("nameLen"), qenc.depth + 1)) is SolveResult.UNSAT
+        pre = qenc.preconditions()
+        assert solver.check(*pre, eq(ivar("nameLen"), 0)) is SolveResult.UNSAT
+        assert solver.check(*pre, eq(ivar("nameLen"), qenc.depth + 1)) \
+            is SolveResult.UNSAT
 
     def test_decode_interned_model(self, encoding):
         encoder, qenc = encoding
         solver = Solver()
-        solver.add(*qenc.preconditions())
         codes = encoder.interner.encode_name(
             encoder.zone.origin
         )
-        solver.add(eq(ivar("nameLen"), len(codes)))
-        for i, code in enumerate(codes):
-            solver.add(eq(ivar(f"n{i}"), code))
-        solver.add(eq(ivar("qtype"), int(RRType.A)))
-        assert solver.check() is SolveResult.SAT
+        labels = [eq(ivar(f"n{i}"), code) for i, code in enumerate(codes)]
+        assert solver.check(
+            *qenc.preconditions(), eq(ivar("nameLen"), len(codes)), *labels,
+            eq(ivar("qtype"), int(RRType.A)),
+        ) is SolveResult.SAT
         query = qenc.decode_query(solver.model())
         assert query.qname == encoder.zone.origin
         assert query.qtype is RRType.A
@@ -67,11 +66,10 @@ class TestQueryEncoding:
     def test_decode_gap_model_produces_fresh_label(self, encoding):
         encoder, qenc = encoding
         solver = Solver()
-        solver.add(*qenc.preconditions())
-        solver.add(eq(ivar("nameLen"), 1))
         gap = encoder.interner.interned_codes()[1] + 7  # between two labels
-        solver.add(eq(ivar("n0"), gap))
-        assert solver.check() is SolveResult.SAT
+        assert solver.check(
+            *qenc.preconditions(), eq(ivar("nameLen"), 1), eq(ivar("n0"), gap)
+        ) is SolveResult.SAT
         query = qenc.decode_query(solver.model())
         assert query is not None
         assert not encoder.interner.has(query.qname.labels[0]) or True

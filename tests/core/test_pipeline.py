@@ -153,6 +153,13 @@ SAT_DISPATCHES = {
     "dev": 1412,
 }
 
+#: Solver checks with the static analysis off (``--no-analysis``): every
+#: panic guard goes to the solver. The bugs are ``GOLDEN``'s either way.
+ANALYSIS_OFF_CHECKS = {
+    "verified": 7134,
+    "v1.0": 7543,
+}
+
 
 @pytest.fixture(scope="module")
 def runs():
@@ -356,3 +363,16 @@ class TestGoldenPin:
     @pytest.mark.parametrize("version", sorted(SAT_DISPATCHES))
     def test_sat_dispatches_pinned(self, runs, version):
         assert runs[version][1] == SAT_DISPATCHES[version]
+
+    @pytest.mark.parametrize("version", sorted(ANALYSIS_OFF_CHECKS))
+    def test_analysis_off_checks_and_bugs_pinned(self, version):
+        from repro.core.options import VerifyOptions
+
+        result = verify_engine(evaluation_zone(), version,
+                               VerifyOptions(analysis=False))
+        assert result.analysis["enabled"] is False
+        assert result.solver_checks == ANALYSIS_OFF_CHECKS[version]
+        assert [
+            (bug.categories, bug.qname_codes, bug.qtype_code, bug.validated)
+            for bug in result.bugs
+        ] == GOLDEN[version][1]

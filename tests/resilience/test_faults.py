@@ -112,7 +112,7 @@ class TestCampaignContinues:
 
 class TestFaultDrill:
     def test_every_site_degrades_to_a_typed_verdict(self):
-        from repro.testing import fault_drill
+        from repro.testing.faultdrill import fault_drill
 
         report = fault_drill("verified")
         assert report.clean, report.describe()

@@ -32,8 +32,7 @@ x, y, z = ivar("x"), ivar("y"), ivar("z")
 
 def check(*formulas):
     solver = Solver()
-    solver.add(*formulas)
-    return solver.check(), solver
+    return solver.check(*formulas), solver
 
 
 class TestBasicSat:
@@ -134,36 +133,22 @@ class TestBooleanStructure:
 class TestIncremental:
     def test_check_with_extra(self):
         solver = Solver()
-        solver.add(ge(x, 0), le(x, 10))
-        assert solver.check(eq(x, 5)) is SolveResult.SAT
-        assert solver.check(eq(x, 50)) is SolveResult.UNSAT
+        path = TRUE_PATH.assume_all([ge(x, 0), le(x, 10)])
+        assert solver.check(eq(x, 5), path=path) is SolveResult.SAT
+        assert solver.check(eq(x, 50), path=path) is SolveResult.UNSAT
         # Extra assumptions do not persist.
-        assert solver.check() is SolveResult.SAT
-
-    def test_entails(self):
-        solver = Solver()
-        solver.add(eq(x, 5))
-        assert solver.entails(ge(x, 0))
-        assert not solver.entails(ge(x, 6))
-
-    def test_is_satisfiable(self):
-        solver = Solver()
-        solver.add(eq(x, 5))
-        assert solver.is_satisfiable(le(x, 5))
-        assert not solver.is_satisfiable(le(x, 4))
+        assert solver.check(path=path) is SolveResult.SAT
 
     def test_result_cache_returns_same(self):
         solver = Solver()
-        solver.add(eq(x, 5))
-        assert solver.check() is SolveResult.SAT
+        assert solver.check(eq(x, 5)) is SolveResult.SAT
         checks = solver.num_checks
-        assert solver.check() is SolveResult.SAT
+        assert solver.check(eq(x, 5)) is SolveResult.SAT
         assert solver.num_checks == checks
 
     def test_model_requires_sat(self):
         solver = Solver()
-        solver.add(le(x, 0), ge(x, 1))
-        solver.check()
+        solver.check(le(x, 0), ge(x, 1))
         try:
             solver.model()
         except RuntimeError:
@@ -220,14 +205,6 @@ class TestComplementRefutation:
         path = TRUE_PATH.assume_all([not_(flag), le(x, 9)])
         self.assert_refuted(solver, flag, path, calls)
 
-    def test_literal_negated_by_an_assertion(self, monkeypatch):
-        calls = self.core_calls(monkeypatch)
-        solver = Solver()
-        solver.add(eq(x, 4), bvar("p"))
-        path = TRUE_PATH.assume(ge(y, 1))
-        self.assert_refuted(solver, ne(x, 4), path, calls)
-        self.assert_refuted(solver, not_(bvar("p")), path, calls)
-
     def test_contradiction_nested_in_an_and_reaches_the_core(self, monkeypatch):
         calls = self.core_calls(monkeypatch)
         solver = Solver()
@@ -257,21 +234,21 @@ class TestLargeDomains:
         spacing = 1 << 16
         codes = [spacing * (i + 1) for i in range(5)]
         solver = Solver()
-        solver.add(ge(x, 1), le(x, codes[-1] + spacing - 1))
-        for code in codes:
-            solver.add(ne(x, code))
-        solver.add(gt(x, codes[1]), lt(x, codes[2]))
-        assert solver.check() is SolveResult.SAT
+        gaps = [ne(x, code) for code in codes]
+        assert solver.check(
+            ge(x, 1), le(x, codes[-1] + spacing - 1), *gaps,
+            gt(x, codes[1]), lt(x, codes[2]),
+        ) is SolveResult.SAT
         value = solver.model().get_int("x")
         assert codes[1] < value < codes[2]
 
     def test_many_vars_ordered(self):
         solver = Solver()
         variables = [ivar(f"n{i}") for i in range(10)]
-        for a, b in zip(variables, variables[1:]):
-            solver.add(lt(a, b))
-        solver.add(ge(variables[0], 0), le(variables[-1], 9))
-        assert solver.check() is SolveResult.SAT
+        ordered = [lt(a, b) for a, b in zip(variables, variables[1:])]
+        assert solver.check(
+            *ordered, ge(variables[0], 0), le(variables[-1], 9)
+        ) is SolveResult.SAT
         values = [solver.model().get_int(f"n{i}") for i in range(10)]
         assert values == sorted(values) and len(set(values)) == 10
 
@@ -309,8 +286,7 @@ class TestAgainstBruteForce:
         # Restrict the solver to the same finite domain as the enumeration.
         box = and_(ge(x, -6), le(x, 6), ge(y, -6), le(y, 6))
         solver = Solver()
-        solver.add(box, formula)
-        result = solver.check()
+        result = solver.check(box, formula)
         expected = brute_force_sat(and_(box, formula))
         if expected:
             assert result is SolveResult.SAT

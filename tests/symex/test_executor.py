@@ -4,7 +4,7 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.frontend.runtime import GoStruct
-from repro.solver import Solver, SolveResult, eq, ge, iconst, ivar, le, ne
+from repro.solver import Solver, SolveResult, eq, ge, iconst, ivar, le
 from repro.solver.terms import TRUE, and_, bool_const, not_
 from repro.symex import (
     Executor,
@@ -74,11 +74,10 @@ class TestBranching:
         taken = [o for o in outs if o.value == iconst(1)][0]
         not_taken = [o for o in outs if o.value == iconst(0)][0]
         # pc of the taken branch entails a > 10.
-        solver.add(*taken.state.pc)
-        assert solver.entails(ne(ivar("a"), 5))
-        solver2 = Solver()
-        solver2.add(*not_taken.state.pc)
-        assert solver2.check(eq(ivar("a"), 5)) is SolveResult.SAT
+        assert solver.check(eq(ivar("a"), 5), path=taken.state.pc) \
+            is SolveResult.UNSAT
+        assert solver.check(eq(ivar("a"), 5), path=not_taken.state.pc) \
+            is SolveResult.SAT
 
     def test_precondition_prunes(self):
         ex = make_executor(self.SOURCE)

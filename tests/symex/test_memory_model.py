@@ -140,8 +140,7 @@ class TestHeapBridge:
         obj.a = ivar("x")
         ptr = loader.load(obj)
         solver = Solver()
-        solver.add(eq(ivar("x"), 42))
-        assert solver.check() is SolveResult.SAT
+        assert solver.check(eq(ivar("x"), 42)) is SolveResult.SAT
         decoded = concretize_value(ptr, memory, solver.model())
         assert decoded["f0"] == 42
 
@@ -158,7 +157,6 @@ class TestHeapBridge:
         memory = Memory()
         lst = memory.alloc(ListVal((ivar("a"), ivar("b"), ivar("c")), ivar("len")))
         solver = Solver()
-        solver.add(eq(ivar("len"), 2), eq(ivar("a"), 1), eq(ivar("b"), 2))
-        solver.check()
+        solver.check(eq(ivar("len"), 2), eq(ivar("a"), 1), eq(ivar("b"), 2))
         decoded = concretize_value(lst, memory, solver.model())
         assert decoded == [1, 2]

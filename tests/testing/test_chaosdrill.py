@@ -11,8 +11,7 @@ import random
 import struct
 
 from repro import cli
-from repro.testing import ChaosDrillConfig, chaos_drill
-from repro.testing.chaosdrill import next_packet
+from repro.testing.chaosdrill import ChaosDrillConfig, chaos_drill, next_packet
 
 
 class TestNextPacket:
