@@ -21,10 +21,8 @@ from repro.incremental.delta import (
 from repro.incremental.digest import (
     engine_digest,
     layers_digest,
-    record_digest,
     records_digest,
     source_digest,
-    subtree_digest,
     subtree_records,
     top_labels,
     zone_digest,
@@ -69,10 +67,8 @@ __all__ = [
     "random_delta",
     "engine_digest",
     "layers_digest",
-    "record_digest",
     "records_digest",
     "source_digest",
-    "subtree_digest",
     "subtree_records",
     "top_labels",
     "zone_digest",

@@ -45,13 +45,22 @@ changed. The observable set ("closure") of a partition is:
   that later adding the target invalidates its dependents — and, when the
   target's top label is absent, the apex-wildcard subtree that would
   synthesize for it. SOA mname/rname are exempt (never chased or glued).
+
+The closure is digested as the engine sees it (:func:`_encoded_records`):
+each closure record, in :class:`~repro.engine.encoding.ZoneEncoder`
+order, is its owner, rtype, payload token and embedded name. The engine
+sees rdata only as an opaque ``rdata_id`` it copies, so the token keeps
+just the equality pattern among the closure's ids; TTLs are not encoded
+at all. Address rewrites, SOA serial bumps and TTL edits thus leave every
+closure unchanged, while any change of the record text that the engine
+can observe changes it (the key is a coarsening of the text closure).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.dns.name import DnsName
 from repro.dns.records import ResourceRecord
@@ -60,7 +69,6 @@ from repro.dns.zone import Zone, ZoneValidationError
 from repro.incremental.digest import (
     apex_records,
     digest_json,
-    records_digest,
     subtree_records,
     top_label_of,
     top_labels,
@@ -272,38 +280,53 @@ def _chase_targets(records: Sequence[ResourceRecord], origin: DnsName) -> Set[Dn
     return targets
 
 
-def _partition_closure(zone: Zone, key: str) -> Dict[str, object]:
-    """Digest material for one partition: everything its queries observe.
+def _labels(interner, codes) -> List[str]:
+    """An encoded name as its labels, most significant first."""
+    return [interner.interned_label(code) for code in codes]
 
-    The returned dict is canonical-JSON digestable; two zones give the same
-    closure for a partition iff the partition's verdict is reusable across
-    them.
-    """
+
+def _encoded_records(encoder, keep: Callable[[ResourceRecord], bool]) -> List[list]:
+    """The records ``keep`` selects, each as the engine sees it, in
+    :attr:`ZoneEncoder.records <repro.engine.encoding.ZoneEncoder.records>`
+    order: ``[owner, rtype, payload token, embedded name]``.
+
+    The payload token is the record's ``rdata_id`` renumbered by first
+    appearance among the selected records, so only the equality pattern of
+    the ids survives. Names are the encoded label codes mapped back to
+    their labels: under the label universe a verdict key pins, that is the
+    same key as the codes, and it stays independent of labels elsewhere in
+    the zone (an added label shifts the code of every label ranked after
+    it)."""
+    interner = encoder.interner
+    tokens: Dict[int, int] = {}
+    material: List[list] = []
+    for record, rr in encoder.records:
+        if keep(record):
+            token = tokens.setdefault(rr.rdata_id, len(tokens) + 1)
+            material.append([
+                _labels(interner, rr.rname), rr.rtype, token,
+                _labels(interner, rr.rdata_name),
+            ])
+    return material
+
+
+def closure_tops(zone: Zone, key: str) -> List[str]:
+    """The sorted apex-child labels whose subtree slices the queries of
+    partition ``key`` can observe, besides the apex itself (see the module
+    docstring). A label whose slice is empty still counts: it pins the
+    absence of the chased target."""
     origin = zone.origin
-    apex = apex_records(zone)
-    material: Dict[str, object] = {
-        "partition": key,
-        "origin": origin.to_text(),
-        "apex": records_digest(apex),
-    }
-    tops = top_labels(zone)
-    present = set(tops)
-
-    seed: List[ResourceRecord] = list(apex)
-    included: Dict[str, str] = {}
+    present = set(top_labels(zone))
+    seed: List[ResourceRecord] = apex_records(zone)
+    included: Set[str] = set()
 
     def include_subtree(top: str) -> List[ResourceRecord]:
         if top in included:
             return []
-        slice_records = subtree_records(zone, top)
-        included[top] = records_digest(slice_records)
-        return slice_records
+        included.add(top)
+        return subtree_records(zone, top)
 
-    if key == OUTSIDE:
-        # The walk never reaches below the apex; origin + apex suffice.
-        seed = list(apex)
-    elif key == MISS:
-        material["tops"] = [t for t in tops if t != "*"]
+    if key == MISS:
         if "*" in present:
             seed += include_subtree("*")
     elif key.startswith(SUB_PREFIX):
@@ -311,42 +334,69 @@ def _partition_closure(zone: Zone, key: str) -> Dict[str, object]:
 
     # Transitive chase: a target's resolution depends on its own subtree
     # slice (empty slices still pin absence) and, when its top label is
-    # absent, on the apex wildcard that would synthesize for it.
-    if key != OUTSIDE:
-        frontier = list(seed)
-        seen_targets: Set[DnsName] = set()
-        while frontier:
-            new_records: List[ResourceRecord] = []
-            for target in sorted(_chase_targets(frontier, origin)):
-                if target in seen_targets:
-                    continue
-                seen_targets.add(target)
-                if target == origin:
-                    continue  # apex is always in the closure
-                top = top_label_of(zone, target)
-                assert top is not None
-                new_records += include_subtree(top)
-                if top not in present and "*" in present:
-                    new_records += include_subtree("*")
-            frontier = new_records
+    # absent, on the apex wildcard that would synthesize for it. The walk
+    # of an ``outside`` query never reaches below the apex.
+    frontier = seed if key != OUTSIDE else []
+    seen_targets: Set[DnsName] = set()
+    while frontier:
+        new_records: List[ResourceRecord] = []
+        for target in sorted(_chase_targets(frontier, origin)):
+            if target in seen_targets:
+                continue
+            seen_targets.add(target)
+            if target == origin:
+                continue  # apex is always in the closure
+            top = top_label_of(zone, target)
+            assert top is not None
+            new_records += include_subtree(top)
+            if top not in present and "*" in present:
+                new_records += include_subtree("*")
+        frontier = new_records
+    return sorted(included)
 
-    material["subtrees"] = sorted(included.items())
+
+def _partition_closure(encoder, key: str) -> Dict[str, object]:
+    """Digest material for one partition: everything its queries observe.
+
+    ``encoder`` is the :class:`~repro.engine.encoding.ZoneEncoder` of the
+    zone. The returned dict is canonical-JSON digestable; two zones with
+    the same label universe give the same closure for a partition iff the
+    partition's verdict is reusable across them. ``key="full"`` is the
+    whole zone (the unsplit query space).
+    """
+    zone = encoder.zone
+    origin = zone.origin
+    material: Dict[str, object] = {"partition": key, "origin": origin.to_text()}
+    if key == "full":
+        material["records"] = _encoded_records(encoder, lambda rec: True)
+        return material
+    if key == MISS:
+        material["tops"] = [t for t in top_labels(zone) if t != "*"]
+    tops = closure_tops(zone, key)
+    observed = set(tops)
+    material["subtrees"] = tops
+    material["records"] = _encoded_records(
+        encoder,
+        lambda rec: rec.rname == origin or top_label_of(zone, rec.rname) in observed,
+    )
     return material
 
 
-def partition_digest(zone: Zone, key: str) -> str:
-    return digest_json(_partition_closure(zone, key))
+def partition_digest(encoder, key: str) -> str:
+    """Digest of :func:`_partition_closure` for the zone ``encoder``
+    encodes."""
+    return digest_json(_partition_closure(encoder, key))
 
 
-def _affected_partitions(old: Zone, new: Zone) -> List[str]:
-    """Partitions of ``new`` whose closure differs from ``old``'s (or which
-    ``old`` did not have). These are the partitions a delta from ``old`` to
-    ``new`` invalidates; all others replay."""
-    affected: List[str] = []
-    for part in _zone_partitions(new):
-        if partition_digest(new, part.key) != partition_digest(old, part.key):
-            affected.append(part.key)
-    return affected
+def _affected_partitions(old, new) -> List[str]:
+    """Partitions of ``new.zone`` whose closure differs from
+    ``old.zone``'s (or which ``old.zone`` did not have); both arguments
+    are :class:`~repro.engine.encoding.ZoneEncoder`\\ s. These are the
+    partitions a delta from old to new invalidates; all others replay."""
+    return [
+        part.key for part in _zone_partitions(new.zone)
+        if partition_digest(new, part.key) != partition_digest(old, part.key)
+    ]
 
 
 @dataclass(frozen=True)
@@ -384,13 +434,18 @@ def delta_impact(old: Zone, new: Zone) -> DeltaImpact:
     Layer rules: **TreeSearch** only observes the tree shape (owner names
     and empty non-terminals, plus per-node delegation/type structure is
     Find's concern), so it is invalidated only when the shape changes;
-    **Find** observes RRsets and is invalidated by any record change.
+    **Find** observes RRsets as the engine sees them and is invalidated by
+    any change of the encoded records (an address, TTL or SOA-serial edit
+    is not one).
     """
-    affected = _affected_partitions(old, new)
+    from repro.engine.encoding import ZoneEncoder
+
+    old_encoder, new_encoder = ZoneEncoder(old), ZoneEncoder(new)
+    affected = _affected_partitions(old_encoder, new_encoder)
     layers: List[str] = []
     if _shape(old) != _shape(new):
         layers.append(TREE_SEARCH)
-    if Counter(old.records) != Counter(new.records):
+    if partition_digest(old_encoder, "full") != partition_digest(new_encoder, "full"):
         layers.append(FIND)
     reusable = [
         p.key for p in _zone_partitions(new) if p.key not in affected

@@ -11,9 +11,10 @@ the content it was computed from:
 - **layer configs** — the interface-configuration artifact
   (:mod:`repro.core.layers`), whose source is the paper's Table-3 unit of
   porting cost;
-- **zone content** — whole zones, single records, and per-subtree slices
-  (the children of the apex), which is the granularity the delta engine
-  invalidates at.
+- **zone content** — record multisets and whole zones, as text: the
+  publish journal's zone identity and the equivalence-class planner's
+  slice digests. The by-label dependency closure is digested as the engine
+  sees the records instead (:mod:`repro.incremental.delta`).
 
 Digests are hex SHA-256 over canonical text, so they are stable across
 processes, platforms and Python versions.
@@ -104,11 +105,6 @@ def layers_digest() -> str:
 # ---------------------------------------------------------------------------
 
 
-def record_digest(record: ResourceRecord) -> str:
-    """Digest of one resource record (owner, type, rdata and TTL)."""
-    return digest_text(record.to_text())
-
-
 def records_digest(records: Iterable[ResourceRecord]) -> str:
     """Order-insensitive digest of a record multiset."""
     return digest_text(*sorted(rec.to_text() for rec in records))
@@ -133,11 +129,6 @@ def subtree_records(zone: Zone, top_label: str) -> List[ResourceRecord]:
     (including the subtree root itself)."""
     root = zone.origin.prepend(top_label)
     return [rec for rec in zone.records if rec.rname.is_subdomain_of(root)]
-
-
-def subtree_digest(zone: Zone, top_label: str) -> str:
-    """Digest of one apex-child subtree slice."""
-    return digest_text(top_label, records_digest(subtree_records(zone, top_label)))
 
 
 def apex_records(zone: Zone) -> List[ResourceRecord]:

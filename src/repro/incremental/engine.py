@@ -27,9 +27,16 @@ rank, and the walk's first branch compares against every apex child, so
 path conditions (and hence the solver's witness models) depend on them.
 With all of it pinned, the restricted session's constraint set is
 reproduced exactly and the deterministic solver returns the same models.
-The cost is honest: a delta that adds or removes a *label* invalidates all
-partitions, while rdata-only churn — the dominant production update — keeps
-the universe stable and replays everything untouched.
+The closure is digested as the engine sees it (see
+:mod:`repro.incremental.delta`), from one
+:class:`~repro.engine.encoding.ZoneEncoder` per zone and run, so an
+address rewrite, a SOA serial bump or a TTL edit replays every unit.
+That covers BUG verdicts too (UNKNOWN ones are never stored): a bug is
+re-executed natively on trees built from the encoder, described by
+record counts and decoded through the pinned universe, so no zone text
+enters it. The cost is honest: a delta that adds or removes a *label*
+invalidates all partitions, while address, serial and TTL churn — the
+dominant production update — replays everything.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from repro.core.pipeline import (
     VerificationSession,
 )
 from repro.dns.zone import Zone
+from repro.engine.encoding import ZoneEncoder
 from repro.incremental.cache import SummaryCache
 from repro.incremental.delta import ZoneDelta, partition_digest
 from repro.incremental.planner.protocol import (
@@ -60,7 +68,6 @@ from repro.incremental.digest import (
     engine_digest,
     layers_digest,
     top_labels,
-    zone_digest,
 )
 from repro.incremental.serialize import bug_from_json, bug_to_json
 from repro.resilience import verdicts as verdicts_mod
@@ -234,17 +241,14 @@ def deadline_verdict() -> Dict:
     }
 
 
-def partition_key(zone: Zone, version: str, part_key: str, depth: int,
-                  analysis: bool, use_summaries: bool) -> Dict:
-    """The verdict key of one by-label partition. The restricted run
-    observes the full zone, so the full label universe and top set are
-    pinned (see the module docstring). ``part_key="full"`` is the
-    unsplit query space, whose key a cached monolithic verify
+def partition_key(encoder: ZoneEncoder, version: str, part_key: str,
+                  depth: int, analysis: bool, use_summaries: bool) -> Dict:
+    """The verdict key of one by-label partition of ``encoder.zone``. The
+    restricted run observes the full zone, so the full label universe and
+    top set are pinned (see the module docstring). ``part_key="full"`` is
+    the unsplit query space, whose key a cached monolithic verify
     (:func:`verify_cached`) shares."""
-    if part_key == "full":
-        closure = zone_digest(zone)
-    else:
-        closure = partition_digest(zone, part_key)
+    zone = encoder.zone
     return {
         "engine": engine_digest(version),
         "layers": layers_digest(),
@@ -253,7 +257,7 @@ def partition_key(zone: Zone, version: str, part_key: str, depth: int,
         "universe": zone.label_universe(),
         "tops": top_labels(zone),
         "partition": part_key,
-        "closure": closure,
+        "closure": partition_digest(encoder, part_key),
         # Verdicts are bit-identical with pruning on or off, and with or
         # without layer summaries, but the layers and counters a cached
         # verdict replays are not — keep those populations apart.
@@ -276,7 +280,7 @@ def verify_cached(zone: Zone, version: str, options, cache: SummaryCache, *,
     """
     started = time.perf_counter()
     key = partition_key(
-        zone, version, "full", encoding_depth(zone, options.depth),
+        ZoneEncoder(zone), version, "full", encoding_depth(zone, options.depth),
         options.analysis, options.use_summaries,
     )
     verdict = cache.get("partition", key)
@@ -428,7 +432,13 @@ class IncrementalVerifier:
         # in-process, or across the pool — and everything merges back in
         # plan order, so the merged result is independent of where or in
         # what order misses were computed.
-        plan = [(unit, self._verdict_key(unit)) for unit in self._plan_units()]
+        units = self._plan_units()
+        # One encoder serves every partition key of this zone; the
+        # equivalence-class planner keys on its own digests and needs none.
+        encoder = (ZoneEncoder(self.zone)
+                   if any(unit.kind == KIND_PARTITION for unit in units)
+                   else None)
+        plan = [(unit, self._verdict_key(unit, encoder)) for unit in units]
         cached: Dict[int, Tuple[Dict, List[BugReport]]] = {}
         for position, (unit, key) in enumerate(plan):
             verdict = self.cache.get("partition", key)
@@ -561,10 +571,11 @@ class IncrementalVerifier:
     def _encoding_depth(self) -> int:
         return encoding_depth(self.zone, self.options.depth)
 
-    def _verdict_key(self, unit: PlanUnit) -> Dict:
+    def _verdict_key(self, unit: PlanUnit,
+                     encoder: Optional[ZoneEncoder]) -> Dict:
         if unit.kind == KIND_PARTITION:
             return partition_key(
-                self.zone, self.version, unit.part_key,
+                encoder, self.version, unit.part_key,
                 self._encoding_depth(), self.options.analysis,
                 self.options.use_summaries,
             )

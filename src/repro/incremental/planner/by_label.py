@@ -48,19 +48,23 @@ class ByLabelPlanner(QueryPlanner):
         ]
 
     def affected(self, delta) -> List[str]:
+        from repro.engine.encoding import ZoneEncoder
         from repro.incremental import delta as delta_mod
 
         if self._zone is None:
             raise ValueError("affected() requires a prior plan() call")
         new_zone = delta.apply(self._zone)
-        changed = delta_mod._affected_partitions(self._zone, new_zone)
+        changed = delta_mod._affected_partitions(
+            ZoneEncoder(self._zone), ZoneEncoder(new_zone)
+        )
         self._zone = new_zone
         return changed
 
     def unit_digest(self, zone, unit: PlanUnit) -> str:
+        from repro.engine.encoding import ZoneEncoder
         from repro.incremental import delta as delta_mod
 
-        return delta_mod.partition_digest(zone, unit.part_key)
+        return delta_mod.partition_digest(ZoneEncoder(zone), unit.part_key)
 
     def notify_delta(self, delta) -> None:
         # Stateless with respect to verification: the incremental engine

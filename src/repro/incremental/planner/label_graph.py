@@ -5,7 +5,7 @@ roots of the subtree slices the delta machinery already invalidates at);
 edges are the rdata-embedded dependencies between them — CNAME/DNAME/ALIAS
 chase targets and NS/MX/SRV additional-section glue, the same rules
 the by-label planner's partition closures chase
-(:func:`repro.incremental.delta.partition_digest`). The graph keeps,
+(:func:`repro.incremental.delta.closure_tops`). The graph keeps,
 per top:
 
 - the subtree slice (records) and its content digest;

@@ -64,13 +64,15 @@ class PublishResult:
     sequence: int  # snapshot sequence now serving
     snapshot_digest: str  # digest now serving
     error: Optional[str] = None
+    units_recomputed: int = 0  # plan units verified afresh, not replayed
 
     def describe(self) -> str:
         action = "published" if self.accepted else "HELD"
         extra = f" ({self.reason})" if self.reason else ""
         return (
             f"{action}: {self.verdict}{extra}, {self.records_changed} record(s) "
-            f"changed, verify {self.verify_seconds:.2f}s, now serving "
+            f"changed, {self.units_recomputed} unit(s) recomputed, verify "
+            f"{self.verify_seconds:.2f}s, now serving "
             f"#{self.sequence} {self.snapshot_digest[:12]}"
         )
 
@@ -86,6 +88,7 @@ class PublishResult:
             "sequence": self.sequence,
             "snapshot_digest": self.snapshot_digest,
             "error": self.error,
+            "units_recomputed": self.units_recomputed,
         }
 
 
@@ -194,6 +197,7 @@ class PublishGate:
         bugs = 0
         reason = None
         records_changed = 0
+        units_recomputed = 0
         try:
             # Simulates the prover itself blowing up mid-gate (a worker
             # crash, an assertion in the verifier): the candidate must be
@@ -207,6 +211,7 @@ class PublishGate:
             reason = outcome.result.unknown_reason
             bugs = len(outcome.result.bugs)
             records_changed = outcome.reuse.records_changed
+            units_recomputed = outcome.reuse.partitions_recomputed
             verify_seconds = outcome.result.elapsed_seconds
         except Exception as exc:  # injected faults, cache IO, compile errors
             taxonomy, detail = verdicts_mod.classify_error(exc)
@@ -263,6 +268,7 @@ class PublishGate:
             sequence=self.snapshot.sequence,
             snapshot_digest=self.snapshot.digest,
             error=error,
+            units_recomputed=units_recomputed,
         )
         self.last_result = result
         self.history.append(result.to_json())

@@ -187,11 +187,10 @@ alias IN CNAME target.z.example.
 target IN A 192.0.2.2
 """
         )
-        rec = next(r for r in zone.records if r.rname == name("target.z.example"))
-        replacement = ResourceRecord(rec.rname, rec.rtype, ARdata("192.0.2.3"), rec.ttl)
+        # A second address at the target is an edit the engine sees (an
+        # address rewrite is not; see test_engine_invisible_edits).
         new = ZoneDelta(
-            zone.origin,
-            (RecordChange("delete", rec), RecordChange("add", replacement)),
+            zone.origin, (add(name("target.z.example"), rdata=ARdata("192.0.2.3")),)
         ).apply(zone)
         assert "sub:alias" in affected(zone, new)
 
@@ -212,12 +211,10 @@ alias IN CNAME missing.z.example.
         assert "sub:alias" in affected(base, new)
 
     def test_delta_impact_layers(self, zone):
-        # Pure rdata churn keeps the tree shape: TreeSearch survives.
-        rec = next(r for r in zone.records if r.rtype is RRType.TXT)
-        replacement = ResourceRecord(rec.rname, rec.rtype, TXTRdata("other"), rec.ttl)
+        # A second TXT record at an existing owner keeps the tree shape:
+        # TreeSearch survives.
         new = ZoneDelta(
-            zone.origin,
-            (RecordChange("delete", rec), RecordChange("add", replacement)),
+            zone.origin, (add(name("www.shop.example"), RRType.TXT, TXTRdata("other")),)
         ).apply(zone)
         impact = delta_impact(zone, new)
         assert impact.affected_layers == ("Find",)

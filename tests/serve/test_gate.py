@@ -5,7 +5,7 @@ import pytest
 from repro.dns.zonefile import parse_zone_text
 from repro.resilience import verdicts
 from repro.serve import PublishGate, build_snapshot
-from repro.zonegen.corpus import MINIMAL_ZONE_TEXT
+from repro.zonegen.corpus import EVALUATION_ZONE_TEXT, MINIMAL_ZONE_TEXT
 
 #: Adding a wildcard with an MX triggers v2.0's extraneous-glue bug
 #: (Table 2), so the same delta is benign for `verified` and a BUG for
@@ -226,3 +226,53 @@ class TestHistory:
         assert health["last_verdict"] == verdicts.BUG
         assert health["alarm"]["bugs"] > 0
         assert health["serving_digest"] == gate.snapshot.digest
+
+
+class TestEngineInvisibleEdits:
+    """On the evaluation zone, an edit the engine cannot see (an address
+    rewrite, a serial bump) publishes without re-verifying any unit; an
+    edit it can see still re-verifies the units that observe it."""
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        from repro.incremental.cache import SummaryCache
+
+        cache = SummaryCache(memory_only=True)
+        PublishGate(build_snapshot(parse_zone_text(EVALUATION_ZONE_TEXT),
+                                   "verified"), cache=cache).bootstrap()
+        return cache
+
+    def submit(self, cache, text):
+        gate = PublishGate(build_snapshot(parse_zone_text(EVALUATION_ZONE_TEXT),
+                                          "verified"), cache=cache)
+        assert gate.bootstrap().units_recomputed == 0  # the warm cache replays
+        result = gate.submit(parse_zone_text(text))
+        assert result.accepted, result.describe()
+        assert gate.history[-1]["units_recomputed"] == result.units_recomputed
+        return gate, result
+
+    def test_address_rewrite_recomputes_nothing(self, cache):
+        from repro.dns.message import Query
+        from repro.dns.name import DnsName
+        from repro.dns.rtypes import RRType
+
+        gate, result = self.submit(
+            cache, EVALUATION_ZONE_TEXT.replace("192.0.2.10", "192.0.2.123"))
+        assert result.units_recomputed == 0
+        assert result.to_json()["units_recomputed"] == 0
+        response = gate.snapshot.resolve(
+            Query(DnsName.from_text("www.example.com."), RRType.A))
+        assert [r.rdata.to_text() for r in response.answer] == ["192.0.2.123"]
+
+    def test_serial_bump_recomputes_nothing(self, cache):
+        bumped = EVALUATION_ZONE_TEXT.replace(
+            "admin.example.com. 1 3600", "admin.example.com. 2 3600")
+        assert bumped != EVALUATION_ZONE_TEXT
+        _, result = self.submit(cache, bumped)
+        assert result.units_recomputed == 0
+
+    def test_engine_visible_edit_recomputes_www(self, cache):
+        # sub:www, and sub:alias, whose CNAME points at www.
+        _, result = self.submit(cache,
+                                EVALUATION_ZONE_TEXT + "www IN A 192.0.2.11\n")
+        assert result.units_recomputed == 2
